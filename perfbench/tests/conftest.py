@@ -1,0 +1,9 @@
+"""Make ``src`` and the benchmark's own modules importable."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent.parent / "src", HERE.parent):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
