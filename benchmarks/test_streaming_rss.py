@@ -28,7 +28,7 @@ DRIVER = """
 import sys
 from repro.params import DEFAULT_MACHINE
 from repro.schemes.registry import make_scheme
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.sim.workloads import get_workload
 from repro.util.proc import peak_rss_bytes
 from repro.vmos.scenarios import build_mapping
@@ -41,7 +41,7 @@ if mode == "eager":
 else:
     trace = workload.trace_source(references, seed=11)
 scheme = make_scheme("base", mapping, DEFAULT_MACHINE)
-result = simulate(scheme, trace, epoch_references=65536)
+result = run_trace(scheme, trace, epoch_references=65536)
 assert result.stats.accesses == references
 print(peak_rss_bytes())
 """

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.schemes import make_scheme, scheme_names
-from repro.sim.engine import SimulationResult, run_trace, simulate
+from repro.sim.engine import SimulationResult, run_trace
 from repro.sim.workloads import WORKLOADS, get_workload, workload_names
 from repro.system import System
 from repro.vmos.scenarios import build_mapping
@@ -38,7 +38,6 @@ __all__ = [
     "scheme_names",
     "SimulationResult",
     "run_trace",
-    "simulate",
     "WORKLOADS",
     "get_workload",
     "workload_names",

@@ -5,13 +5,13 @@ checker per (rule, file) pair and drives two phases over the whole
 file set:
 
 1. **collect** — every checker sees its file and may stash cross-file
-   facts in :attr:`ProjectContext.shared` (e.g. which APIs carry a
-   ``DeprecationWarning``, which scheme classes the registry builds);
+   facts in :attr:`ProjectContext.shared` (e.g. which scheme classes
+   the registry builds);
 2. **check** — every checker walks its AST and reports findings,
    reading whatever the collect phase gathered.
 
 Rules therefore get whole-project knowledge (class hierarchies,
-deprecation sets) while staying simple single-file visitors.
+registered schemes) while staying simple single-file visitors.
 """
 
 from __future__ import annotations

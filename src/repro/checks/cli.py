@@ -34,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="anchor-tlb check",
         description="AST-based contract linter for the simulator "
                     "(determinism, scheme contracts, frozen views, "
-                    "dtype hygiene, deprecations, repo hygiene)",
+                    "dtype hygiene, repo hygiene)",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,

@@ -7,7 +7,6 @@ and ``description``, implement ``visit_*``/``handle_*`` methods (and
 """
 
 from repro.checks.rules.clone_contract import CloneContractChecker
-from repro.checks.rules.deprecation import DeprecationChecker
 from repro.checks.rules.determinism import DeterminismChecker
 from repro.checks.rules.dtype_hygiene import DtypeHygieneChecker
 from repro.checks.rules.fork_safety import ForkSafetyChecker
@@ -27,7 +26,6 @@ ALL_CHECKERS = [
     TagSafetyChecker,
     SharedAliasingChecker,
     DtypeHygieneChecker,
-    DeprecationChecker,
 ]
 
 __all__ = ["ALL_CHECKERS", "tracked_bytecode_findings"]

@@ -4,17 +4,20 @@ The fleet constructs one *prototype* scheme per mapping key and hands
 every tenant a :meth:`~repro.schemes.base.TranslationScheme.clone_fresh`
 copy: mapping-derived state (promotion maps, anchor directories,
 sorted-array caches, range tables) is shared by reference, and only the
-per-tenant hardware (L2 arrays, predictors, resident-state caches) is
-recreated.  That split is the whole point of the optimisation — a clone
-that quietly rebuilds mapping-derived state pays the O(mapping) cost the
-prototype exists to amortise, and a scheme that forgets to reset its
-mutable hardware silently aliases one tenant's TLB into another's.
+per-tenant state — the hardware a scheme declares in its ``hardware``
+table, plus counters and resident-state caches reset by
+``_reset_clone`` — is recreated.  That split is the whole point of the
+optimisation — a clone that quietly rebuilds mapping-derived state pays
+the O(mapping) cost the prototype exists to amortise, and a scheme that
+forgets to reset its mutable hardware silently aliases one tenant's TLB
+into another's.
 
 Two ways the discipline erodes:
 
-1. a registered scheme (or its base chain) never defines
-   ``_reset_clone`` — its access paths then mutate structures shared
-   with the prototype and every sibling clone;
+1. a registered scheme (or its base chain) neither declares its
+   ``hardware`` nor defines ``_reset_clone`` — its access paths then
+   mutate structures shared with the prototype and every sibling
+   clone;
 2. a ``_reset_clone`` override rebuilds mapping-derived state: it
    touches ``self.mapping``/``frozen``, calls a ``_build_*`` helper, or
    invokes one of the known expensive constructors (promotion passes,
@@ -81,6 +84,11 @@ class CloneContractChecker(Checker):
                 for stmt in node.body:
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         info.methods.add(stmt.name)
+                    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                                   else [stmt.target])
+                        info.class_attrs.update(
+                            t.id for t in targets if isinstance(t, ast.Name))
                 shared["classes"][node.name] = info
         if self.ctx.scoped_path == "schemes/registry.py":
             for node in ast.walk(self.ctx.tree):
@@ -116,17 +124,19 @@ class CloneContractChecker(Checker):
         shared = self._shared()
         if node.name not in shared["registered"] or not self._is_scheme(node.name):
             return
-        defined = {m for info in self._chain(node.name) for m in info.methods}
-        if "_reset_clone" not in defined:
+        chain = self._chain(node.name)
+        defined = {m for info in chain for m in info.methods}
+        declared = {a for info in chain for a in info.class_attrs}
+        if "_reset_clone" not in defined and "hardware" not in declared:
             self.report(
                 node,
-                f"registered scheme '{node.name}' never defines "
-                "'_reset_clone': clones alias the prototype's mutable "
-                "hardware (L2 arrays, predictors, resident caches) and "
-                "tenants bleed state into each other",
-                hint="override _reset_clone() to recreate every structure "
-                     "the access paths mutate; mapping-derived views stay "
-                     "shared",
+                f"registered scheme '{node.name}' neither declares its "
+                "'hardware' nor defines '_reset_clone': clones alias the "
+                "prototype's mutable hardware (L2 arrays, predictors, "
+                "resident caches) and tenants bleed state into each other",
+                hint="declare every TLB structure in the class's hardware "
+                     "table and reset other per-tenant state in "
+                     "_reset_clone(); mapping-derived views stay shared",
             )
 
     def handle_function(

@@ -3,8 +3,9 @@ privatisation choke points.
 
 ``clone_fresh`` copies the prototype's ``__dict__`` wholesale, so every
 attribute *not* rebound by ``_reset_clone`` (or replaced outright by
-``clone_fresh`` itself — l1, pwc, stats) is shared by reference between
-the prototype and every clone.  PR 9's ``clone-contract`` rule polices
+``clone_fresh`` itself — the stats and every structure named in the
+class's ``hardware`` declaration) is shared by reference between the
+prototype and every clone.  PR 9's ``clone-contract`` rule polices
 what ``_reset_clone`` may do; this rule is its cross-file
 generalisation: it computes, per scheme, the set of shared attributes
 and then checks that no method anywhere in the class hierarchy
@@ -47,11 +48,11 @@ from repro.checks.dataflow import (
 
 _ROOT_CLASS = "TranslationScheme"
 
-#: Attributes ``clone_fresh`` itself replaces on every clone, plus the
-#: identity fields a clone legitimately keeps writing through.
+#: Attributes ``clone_fresh`` itself replaces on every clone besides
+#: the declared hardware, plus the identity fields a clone legitimately
+#: keeps writing through.
 _PER_CLONE_ATTRS = {
-    "mapping", "config", "stats", "l1", "pwc", "name", "distance",
-    "_synced_version",
+    "mapping", "config", "stats", "name", "distance", "_synced_version",
 }
 
 #: Methods that may mutate shared state by name.
@@ -112,7 +113,20 @@ class SharedAliasingChecker(Checker):
             flow.method_tree(class_name, "__init__"), kind="bind")
         reset = flow.writes_in(
             flow.method_tree(class_name, "_reset_clone"), kind="bind")
-        return bound - reset - _PER_CLONE_ATTRS
+        return bound - reset - _PER_CLONE_ATTRS - self._hardware(
+            flow, class_name)
+
+    def _hardware(self, flow: ProjectDataflow, class_name: str) -> set[str]:
+        """The string keys of every ``hardware`` table along the chain."""
+        names: set[str] = set()
+        for model in flow.chain(class_name):
+            table = model.class_attrs.get("hardware")
+            if isinstance(table, ast.Dict):
+                names.update(
+                    key.value for key in table.keys
+                    if isinstance(key, ast.Constant)
+                    and isinstance(key.value, str))
+        return names
 
     def _exempt(
         self, flow: ProjectDataflow, class_name: str, fn: FunctionModel

@@ -10,20 +10,15 @@ ORs a tag base in explicitly (``tag_base = arr.tag << TAG_SHIFT``,
 ``key | self.l2._tag_base``).  The ``scheme-contract`` rule checks the
 *declaration*; this rule checks the *implementation*, using the
 dataflow call graph to walk every helper reachable from
-``access_block`` across files:
+``access_block`` across files: the call tree must show tag evidence
+somewhere — a ``simulate_block`` call, or a mention of ``TAG_SHIFT`` /
+``tag_base`` / ``_tag_base``.
 
-1. **Key idiom.**  The ``access_block`` call tree of a tag-safe scheme
-   must show tag evidence somewhere: a ``simulate_block`` call, or a
-   mention of ``TAG_SHIFT`` / ``tag_base`` / ``_tag_base``.
-2. **``set_asid`` cascade.**  Every TLB-like structure the scheme
-   constructs (an ``__init__``-tree bind whose constructor class
-   defines ``set_tag``) must be reachable from the scheme's
-   ``set_asid`` call tree — otherwise switch-in retags some arrays and
-   leaves others serving the previous tenant's translations.
-3. **``bind_shared`` cascade.**  Where the project has a
-   ``bind_shared`` helper (the fleet's shared-hardware rebinder in
-   ``sim/tenants.py``), the same owned structures must appear in it,
-   or shared-hardware tenancy silently skips them.
+Which structures get retagged on a switch, flushed, or shared by a
+tagged fleet is not checked here: all of that derives from each
+scheme's ``hardware`` declaration, and
+``tests/schemes/test_hardware_ownership.py`` walks every registered
+scheme's instances to prove nothing escapes it.
 
 Classes with ``tag_safe_block = False`` (e.g. the region-anchor
 scheme) opt out of tagging wholesale — ``set_asid`` raises — and are
@@ -52,34 +47,9 @@ def _in_schemes(scoped_path: str) -> bool:
 class TagSafetyChecker(Checker):
     rule = "tag-safety"
     description = (
-        "tag_safe_block scheme whose block path or ASID cascade misses "
-        "a TLB structure"
+        "tag_safe_block scheme whose block path never packs an "
+        "address-space tag"
     )
-
-    # -- collect: nested bind_shared helpers anywhere in the project ----
-
-    def _shared(self) -> dict:
-        return self.project.shared.setdefault(
-            self.rule, {"bind_shared": [], "reported": set()})
-
-    def collect(self) -> None:
-        # bind_shared is a *nested* function (it closes over the shard's
-        # shared structures), so the module-level dataflow scan misses
-        # it; collect its attribute/string mentions directly.
-        for node in ast.walk(self.ctx.tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == "bind_shared"):
-                mentions: set[str] = set()
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Name):
-                        mentions.add(sub.id)
-                    elif isinstance(sub, ast.Attribute):
-                        mentions.add(sub.attr)
-                    elif (isinstance(sub, ast.Constant)
-                          and isinstance(sub.value, str)):
-                        mentions.add(sub.value)
-                self._shared()["bind_shared"].append(
-                    (self.ctx.relpath, mentions))
 
     # -- check -----------------------------------------------------------
 
@@ -98,7 +68,6 @@ class TagSafetyChecker(Checker):
             if not self._tag_safe(flow, cls.name):
                 continue
             self._check_key_idiom(flow, cls)
-            self._check_cascades(flow, cls)
 
     def _tag_safe(self, flow: ProjectDataflow, class_name: str) -> bool:
         value = flow.resolve_class_attr(class_name, "tag_safe_block")
@@ -131,64 +100,3 @@ class TagSafetyChecker(Checker):
                  "touching raw buckets; otherwise set tag_safe_block = "
                  "False",
         )
-
-    def _owned_tlbs(
-        self, flow: ProjectDataflow, class_name: str
-    ) -> dict[str, tuple[str, int, str]]:
-        """attr -> (relpath, lineno, ctor) for TLB-like __init__ binds."""
-        owned: dict[str, tuple[str, int, str]] = {}
-        for fn in flow.method_tree(class_name, "__init__"):
-            for write in fn.attr_writes:
-                if write.kind != "bind" or write.value_call is None:
-                    continue
-                ctor = write.value_call.split(".")[-1]
-                target = flow.classes.get(ctor)
-                if target is None:
-                    continue
-                if flow.resolve_method(ctor, "set_tag") is not None:
-                    owned.setdefault(
-                        write.attr, (fn.relpath, write.lineno, ctor))
-        return owned
-
-    def _check_cascades(self, flow: ProjectDataflow, cls) -> None:
-        owned = self._owned_tlbs(flow, cls.name)
-        if not owned:
-            return
-        asid_tree = flow.method_tree(cls.name, "set_asid")
-        asid_mentions: set[str] = set()
-        for fn in asid_tree:
-            asid_mentions |= fn.mentions
-        binders = self._shared()["bind_shared"]
-        reported = self._shared()["reported"]
-        for attr, (relpath, lineno, ctor) in sorted(owned.items()):
-            key = (cls.name, attr)
-            if key in reported:
-                continue
-            if asid_tree and attr not in asid_mentions:
-                reported.add(key)
-                self.report(
-                    self._node(cls.lineno),
-                    f"'{cls.name}' owns TLB structure '{attr}' "
-                    f"({ctor}, bound at {relpath}:{lineno}) but its "
-                    "set_asid cascade never retags it: after a tenant "
-                    "switch it keeps serving the previous address "
-                    "space",
-                    hint="call self.<attr>.set_tag(asid) in a set_asid "
-                         "override (and super().set_asid(asid) for the "
-                         "base structures)",
-                )
-                continue
-            if binders and all(attr not in mentions
-                               for _, mentions in binders):
-                reported.add(key)
-                self.report(
-                    self._node(cls.lineno),
-                    f"'{cls.name}' owns TLB structure '{attr}' "
-                    f"({ctor}) but no bind_shared helper rebinds it: "
-                    "shared-hardware tenancy would leave each tenant "
-                    "a private copy while the rest of the hierarchy "
-                    "is shared",
-                    hint="rebind it in the fleet's bind_shared helper "
-                         "alongside l1/l2/pwc",
-                )
-        return

@@ -8,12 +8,11 @@ the benchmark harness).  ``repro.experiments.cli`` provides the
 
 from repro.experiments.common import ExperimentConfig, MatrixRunner
 from repro.sim.api import SimRequest
-from repro.sim.runner import JobSpec, Orchestrator, ResultStore, RunSummary
+from repro.sim.runner import Orchestrator, ResultStore, RunSummary
 
 __all__ = [
     "ExperimentConfig",
     "MatrixRunner",
-    "JobSpec",
     "SimRequest",
     "Orchestrator",
     "ResultStore",

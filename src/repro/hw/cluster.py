@@ -117,5 +117,13 @@ class ClusterTLB:
     def insert(self, entry: ClusterEntry) -> None:
         self.array.insert(entry.vcluster, entry.vcluster, entry)
 
+    def set_tag(self, tag: int) -> None:
+        """Select the address-space tag on the clustered array."""
+        self.array.set_tag(tag)
+
+    def flush_tag(self, tag: int) -> int:
+        """Drop every entry carrying ``tag`` (ASID recycling)."""
+        return self.array.flush_tag(tag)
+
     def flush(self) -> None:
         self.array.flush()

@@ -34,7 +34,7 @@ from repro.hw.anchor_tlb import (
     KIND_SMALL,
     AnchorL2TLB,
 )
-from repro.schemes.base import TranslationScheme
+from repro.schemes.base import Hardware, TranslationScheme
 from repro.sim.lru import (
     collapse_runs,
     isin_sorted,
@@ -60,6 +60,14 @@ class AnchorScheme(TranslationScheme):
     #: exact L2 replay below ORs the array's tag base into every raw
     #: key it builds, so the fast path is correct under ASID tagging.
     tag_safe_block = True
+    hardware = {
+        **TranslationScheme.hardware,
+        # Anchor entries live in the unmodified L2 (§3.2).  Tagged
+        # tenants share its physical array, but each keeps its own
+        # wrapper: the distance register is per process (§3.1).
+        "l2": Hardware(lambda s: AnchorL2TLB(s.config, s.distance),
+                       shared="array"),
+    }
 
     def __init__(
         self,
@@ -69,15 +77,15 @@ class AnchorScheme(TranslationScheme):
         enable_thp: bool = True,
     ) -> None:
         """``distance=None`` selects dynamically via Algorithm 1."""
-        super().__init__(mapping, config)
         self.dynamic = distance is None
-        self.name = "anchor-dyn" if self.dynamic else f"anchor-d{distance}"
         self.enable_thp = enable_thp
-        self.shootdowns = ShootdownLog()
         if distance is None:
             distance = select_distance(contiguity_histogram(mapping))
+        # The plan comes first: the L2's factory reads its distance.
         self.directory = AnchorDirectory.build(mapping, distance, enable_thp)
-        self.l2 = AnchorL2TLB(config, distance)
+        super().__init__(mapping, config)
+        self.name = "anchor-dyn" if self.dynamic else f"anchor-d{distance}"
+        self.shootdowns = ShootdownLog()
         self._dlog = distance.bit_length() - 1
         self._block_cache = None
         # Resident-state caches for the block fast path: sets holding a
@@ -111,7 +119,6 @@ class AnchorScheme(TranslationScheme):
 
     def _reset_clone(self) -> None:
         super()._reset_clone()
-        self.l2 = AnchorL2TLB(self.config, self.distance)
         self.shootdowns = ShootdownLog()
         self._stale_sets = set()
         self._stale_anchors = {}
@@ -658,7 +665,3 @@ class AnchorScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()

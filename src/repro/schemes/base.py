@@ -16,12 +16,19 @@ Two declared capabilities replace the old duck typing:
   ``reselect_distance()`` (paper §4.1, Algorithm 1 per epoch);
 * ``distance`` — the scheme's anchor distance, if it has one, reported
   in :class:`repro.sim.engine.SimulationResult`.
+
+The TLB structures a scheme owns are declared once, in its class-level
+:attr:`TranslationScheme.hardware` table; construction, ``flush``,
+``set_asid``, ``clone_fresh`` and the tagged fleet's shared hierarchy
+all derive from it.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Protocol, runtime_checkable
+from typing import (
+    Any, Callable, ClassVar, NamedTuple, Protocol, runtime_checkable,
+)
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, HUGE_PAGE_PAGES, MachineConfig
 from repro.hw.l1 import L1TLB
 from repro.hw.pwc import PageWalkCache
+from repro.hw.tlb import SetAssociativeTLB
 from repro.sim.stats import TranslationStats
 from repro.vmos.mapping import FrozenMapping, MemoryMapping
 
@@ -48,6 +56,26 @@ class OSManagedScheme(Protocol):
     supports_reselection: bool
 
     def reselect_distance(self) -> tuple[int, bool]: ...
+
+
+class Hardware(NamedTuple):
+    """One TLB structure a scheme owns (an entry of its ``hardware``)."""
+
+    #: Builds the structure, empty and untagged, for a scheme whose
+    #: constructor arguments are already set; ``None`` when the
+    #: scheme's configuration has no such structure.
+    factory: Callable[[Any], Any]
+    #: What a tagged fleet shares between its tenants: ``True`` the
+    #: structure itself, ``False`` nothing (per-tenant state), or the
+    #: name of an inner attribute shared behind a per-tenant wrapper.
+    shared: bool | str = True
+    #: Whether the structure takes the tenant's ASID (``set_tag``).
+    tagged: bool = True
+
+
+#: The unified L2 array of Table 3, shared by most schemes.
+L2_ARRAY = Hardware(
+    lambda s: SetAssociativeTLB(s.config.l2.entries, s.config.l2.ways))
 
 
 class TranslationScheme(abc.ABC):
@@ -75,6 +103,18 @@ class TranslationScheme(abc.ABC):
     #: ``scheme-contract`` check rule).
     tag_safe_block: bool = True
 
+    #: Every TLB structure the scheme owns, by attribute name.  The
+    #: constructor builds each one; :meth:`flush`, :meth:`set_asid`,
+    #: :meth:`clone_fresh` and the tagged fleet's sharing
+    #: (:meth:`shared_hardware` / :meth:`bind_hardware`) derive from
+    #: this table, so subclasses extend it and never name a structure
+    #: in those paths.  Factories read constructor arguments from the
+    #: scheme, so subclasses set those before ``super().__init__``.
+    hardware: ClassVar[dict[str, Hardware]] = {
+        "l1": Hardware(lambda s: L1TLB(s.config)),
+        "pwc": Hardware(lambda s: PageWalkCache() if s.config.pwc else None),
+    }
+
     def __init__(
         self,
         mapping: MemoryMapping,
@@ -82,10 +122,14 @@ class TranslationScheme(abc.ABC):
     ) -> None:
         self.mapping = mapping
         self.config = config
-        self.l1 = L1TLB(config)
-        self.pwc = PageWalkCache() if config.pwc else None
         self.stats = TranslationStats(latency=config.latency)
         self._synced_version = mapping.version
+        self._new_hardware()
+
+    def _new_hardware(self) -> None:
+        """Build every declared structure afresh (empty, tag 0)."""
+        for name, hw in self.hardware.items():
+            setattr(self, name, hw.factory(self))
 
     # ------------------------------------------------------------------
     # Mapping-version synchronisation (§3.3 shootdown semantics)
@@ -147,10 +191,11 @@ class TranslationScheme(abc.ABC):
             access(vpn)
 
     def flush(self) -> None:
-        """Flush all TLB state (context switch / shootdown)."""
-        self.l1.flush()
-        if self.pwc is not None:
-            self.pwc.flush()
+        """Flush every declared structure (context switch / shootdown)."""
+        for name in self.hardware:
+            structure = getattr(self, name)
+            if structure is not None:
+                structure.flush()
 
     def set_asid(self, asid: int) -> None:
         """Select this tenant's address-space tag on every TLB structure.
@@ -164,13 +209,41 @@ class TranslationScheme(abc.ABC):
             raise ValueError(
                 f"scheme {self.name!r} does not support ASID tagging"
             )
-        self.l1.set_tag(asid)
-        if self.pwc is not None:
-            self.pwc.set_tag(asid)
-        for attr in ("l2", "l2_giga", "range_tlb"):
-            tlb = getattr(self, attr, None)
-            if tlb is not None:
-                tlb.set_tag(asid)
+        for name, hw in self.hardware.items():
+            if hw.tagged:
+                structure = getattr(self, name)
+                if structure is not None:
+                    structure.set_tag(asid)
+
+    # ------------------------------------------------------------------
+    # Shared tagged hierarchy (fleet tenancy)
+    # ------------------------------------------------------------------
+
+    def shared_hardware(self) -> dict[str, Any]:
+        """The parts of this scheme's hardware a tagged fleet shares.
+
+        Keyed by declared name.  A fleet takes these from its first
+        tenant (whose structures are fresh) and hands them to every
+        later tenant through :meth:`bind_hardware`; the values are also
+        the structures an ASID shootdown must reach.
+        """
+        shared: dict[str, Any] = {}
+        for name, hw in self.hardware.items():
+            structure = getattr(self, name)
+            if structure is None or hw.shared is False:
+                continue
+            shared[name] = (structure if hw.shared is True
+                            else getattr(structure, hw.shared))
+        return shared
+
+    def bind_hardware(self, shared: dict[str, Any]) -> None:
+        """Point this scheme at a fleet's :meth:`shared_hardware`."""
+        for name, part in shared.items():
+            inner = self.hardware[name].shared
+            if inner is True:
+                setattr(self, name, part)
+            else:
+                setattr(getattr(self, name), inner, part)
 
     # ------------------------------------------------------------------
     # Prototype cloning (fleet-scale construction amortisation)
@@ -186,14 +259,15 @@ class TranslationScheme(abc.ABC):
         prototype by reference instead of rebuilding it, so per-tenant
         scheme construction costs O(hardware), not O(mapping).
 
-        Subclasses hook the protocol in two places: :meth:`_prepare_share`
-        runs on the *prototype* and forces any lazily built views so
-        every clone inherits them already materialised;
-        :meth:`_reset_clone` runs on the *clone* and recreates every
-        structure the access paths mutate (L2 arrays, predictors,
-        resident-state caches).  Anything not reset is shared and must
-        be treated as read-only — the ``clone-contract`` check rule
-        enforces the share-don't-rebuild discipline.
+        The clone rebuilds every declared :attr:`hardware` structure.
+        Subclasses hook the rest of the protocol in two places:
+        :meth:`_prepare_share` runs on the *prototype* and forces any
+        lazily built views so every clone inherits them already
+        materialised; :meth:`_reset_clone` runs on the *clone* and
+        recreates the per-tenant state that is not hardware (counters,
+        resident-state caches).  Anything not rebuilt is shared and
+        must be treated as read-only — the ``clone-contract`` check
+        rule enforces the share-don't-rebuild discipline.
 
         Sharing survives mapping mutations: ``_synced_version`` rides
         the copy, so a mutated mapping triggers ``_on_mapping_update``
@@ -209,8 +283,7 @@ class TranslationScheme(abc.ABC):
             sanitize.guard_shared(self)
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        clone.l1 = L1TLB(self.config)
-        clone.pwc = PageWalkCache() if self.config.pwc else None
+        clone._new_hardware()
         clone.stats = TranslationStats(latency=self.config.latency)
         clone._reset_clone()
         return clone
@@ -224,11 +297,12 @@ class TranslationScheme(abc.ABC):
         """
 
     def _reset_clone(self) -> None:
-        """Recreate per-tenant mutable structures on a fresh clone.
+        """Recreate per-tenant state that is not declared hardware.
 
         Subclasses override (calling ``super()._reset_clone()``) to
-        give the clone private instances of everything their access
-        paths mutate.  Mapping-derived views stay shared by reference.
+        give the clone private instances of everything else their
+        access paths mutate.  Mapping-derived views stay shared by
+        reference.
         """
 
     def _walk_cycles(self, vpn: int, huge: bool = False) -> int:

@@ -11,8 +11,7 @@ import numpy as np
 
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
-from repro.hw.tlb import SetAssociativeTLB
-from repro.schemes.base import TranslationScheme
+from repro.schemes.base import L2_ARRAY, TranslationScheme
 from repro.sim.lru import collapse_runs, simulate_block
 from repro.vmos.mapping import MemoryMapping
 
@@ -24,6 +23,7 @@ class BaselineScheme(TranslationScheme):
     #: Both levels resolve through :func:`simulate_block`, which packs
     #: the array tag itself — the fast path is tag-aware as-is.
     tag_safe_block = True
+    hardware = {**TranslationScheme.hardware, "l2": L2_ARRAY}
 
     def __init__(
         self,
@@ -31,15 +31,10 @@ class BaselineScheme(TranslationScheme):
         config: MachineConfig = DEFAULT_MACHINE,
     ) -> None:
         super().__init__(mapping, config)
-        self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
         # Live reference to the page table (not a copy): scalar lookups
         # always see the current mapping, and the compiled array view
         # comes version-checked from mapping.frozen() per block.
         self._small = mapping.frozen().page_table
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -91,7 +86,3 @@ class BaselineScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()

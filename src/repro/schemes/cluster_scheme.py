@@ -28,7 +28,7 @@ from repro.params import (
 )
 from repro.hw.cluster import ClusterEntry, ClusterTLB, build_cluster_entry
 from repro.hw.tlb import KEY_MASK, SetAssociativeTLB, TAG_SHIFT
-from repro.schemes.base import TranslationScheme, promote_huge_pages
+from repro.schemes.base import Hardware, TranslationScheme, promote_huge_pages
 from repro.sim.lru import (
     collapse_runs,
     isin_sorted,
@@ -56,6 +56,14 @@ class ClusterScheme(TranslationScheme):
     #: contaminated-set replay), so the partitioned L2 can be shared
     #: between tagged tenants.
     tag_safe_block = True
+    hardware = {
+        **TranslationScheme.hardware,
+        # The statically partitioned L2: a regular side and a
+        # cluster-8 side, both shared whole by tagged tenants.
+        "regular": Hardware(lambda s: SetAssociativeTLB(
+            CLUSTER_REGULAR.entries, CLUSTER_REGULAR.ways)),
+        "clustered": Hardware(lambda s: ClusterTLB(CLUSTER_CLUSTERED)),
+    }
 
     def __init__(
         self,
@@ -67,8 +75,6 @@ class ClusterScheme(TranslationScheme):
         self.use_thp = use_thp
         if use_thp:
             self.name = "cluster2mb"
-        self.regular = SetAssociativeTLB(CLUSTER_REGULAR.entries, CLUSTER_REGULAR.ways)
-        self.clustered = ClusterTLB(CLUSTER_CLUSTERED)
         self._build_promotions()
 
     def _build_promotions(self) -> None:
@@ -93,12 +99,6 @@ class ClusterScheme(TranslationScheme):
     def _prepare_share(self) -> None:
         super()._prepare_share()
         self._sorted_views()
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.regular = SetAssociativeTLB(
-            CLUSTER_REGULAR.entries, CLUSTER_REGULAR.ways)
-        self.clustered = ClusterTLB(CLUSTER_CLUSTERED)
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -375,12 +375,6 @@ class ClusterScheme(TranslationScheme):
             walk_pt_accesses=walk_pt,
         )
 
-    def set_asid(self, asid: int) -> None:
-        """Tag the partitioned L2 alongside the base structures."""
-        super().set_asid(asid)
-        self.regular.set_tag(asid)
-        self.clustered.array.set_tag(asid)
-
     def _translate(self, vpn: int) -> int:
         base = self._huge.get((vpn >> _HUGE_SHIFT) << _HUGE_SHIFT)
         if base is not None:
@@ -389,8 +383,3 @@ class ClusterScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.regular.flush()
-        self.clustered.flush()

@@ -15,8 +15,8 @@ import numpy as np
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.cluster import ColtEntry, build_colt_entry
-from repro.hw.tlb import SetAssociativeTLB, TAG_SHIFT
-from repro.schemes.base import TranslationScheme
+from repro.hw.tlb import TAG_SHIFT
+from repro.schemes.base import L2_ARRAY, TranslationScheme
 from repro.sim.lru import collapse_runs, previous_occurrence, simulate_block
 from repro.vmos.mapping import MemoryMapping
 
@@ -33,6 +33,7 @@ class ColtScheme(TranslationScheme):
     #: itself) and packs the tag into its pre-block snapshot lookups,
     #: so the unified L2 can be shared between tagged tenants.
     tag_safe_block = True
+    hardware = {**TranslationScheme.hardware, "l2": L2_ARRAY}
 
     def __init__(
         self,
@@ -40,14 +41,9 @@ class ColtScheme(TranslationScheme):
         config: MachineConfig = DEFAULT_MACHINE,
     ) -> None:
         super().__init__(mapping, config)
-        self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
         # Live reference to the page table (kept current by the mapping
         # itself); the compiled run arrays come from mapping.frozen().
         self._small = mapping.frozen().page_table
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -165,7 +161,3 @@ class ColtScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()

@@ -20,8 +20,7 @@ import numpy as np
 
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
-from repro.hw.tlb import SetAssociativeTLB
-from repro.schemes.base import TranslationScheme
+from repro.schemes.base import L2_ARRAY, Hardware, TranslationScheme
 from repro.sim.lru import collapse_runs, simulate_block
 from repro.vmos.mapping import MemoryMapping
 
@@ -71,6 +70,14 @@ class PrefetchScheme(TranslationScheme):
     #: bucket key it writes (the predictor and the prefetched-VPN set
     #: are per-tenant already), so tagged tenants may share the L2.
     tag_safe_block = True
+    hardware = {
+        **TranslationScheme.hardware,
+        "l2": L2_ARRAY,
+        # The distance table follows one tenant's miss stream.
+        "predictor": Hardware(
+            lambda s: DistancePredictor(s.predictor_entries),
+            shared=False, tagged=False),
+    }
 
     def __init__(
         self,
@@ -78,9 +85,8 @@ class PrefetchScheme(TranslationScheme):
         config: MachineConfig = DEFAULT_MACHINE,
         predictor_entries: int = 64,
     ) -> None:
+        self.predictor_entries = predictor_entries
         super().__init__(mapping, config)
-        self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
-        self.predictor = DistancePredictor(predictor_entries)
         # Live reference to the page table — never goes stale.
         self._small = mapping.frozen().page_table
         self.prefetches_issued = 0
@@ -89,8 +95,6 @@ class PrefetchScheme(TranslationScheme):
 
     def _reset_clone(self) -> None:
         super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
-        self.predictor = DistancePredictor(self.predictor.capacity)
         self.prefetches_issued = 0
         self.prefetch_hits = 0
         self._prefetched = set()
@@ -244,6 +248,4 @@ class PrefetchScheme(TranslationScheme):
 
     def flush(self) -> None:
         super().flush()
-        self.l2.flush()
-        self.predictor.flush()
         self._prefetched.clear()

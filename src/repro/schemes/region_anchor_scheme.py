@@ -21,8 +21,7 @@ import numpy as np
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.anchor_tlb import KIND_ANCHOR, KIND_HUGE, KIND_SMALL
-from repro.hw.tlb import SetAssociativeTLB
-from repro.schemes.base import TranslationScheme
+from repro.schemes.base import L2_ARRAY, TranslationScheme
 from repro.sim.lru import (
     collapse_runs,
     isin_sorted,
@@ -45,6 +44,7 @@ class RegionAnchorScheme(TranslationScheme):
     #: arrays' buckets; sharing them between tagged tenants would
     #: alias entries across address spaces.
     tag_safe_block = False
+    hardware = {**TranslationScheme.hardware, "l2": L2_ARRAY}
 
     def __init__(
         self,
@@ -70,7 +70,6 @@ class RegionAnchorScheme(TranslationScheme):
         elif len(regions) > capacity:
             raise ValueError("more regions than the region table holds")
         self.regions = sorted(regions, key=lambda r: r.start_vpn)
-        self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
         self._build_directories()
 
     def _build_directories(self) -> None:
@@ -97,10 +96,6 @@ class RegionAnchorScheme(TranslationScheme):
     def _prepare_share(self) -> None:
         super()._prepare_share()
         self._merged_arrays()
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
 
     # ------------------------------------------------------------------
 
@@ -437,10 +432,6 @@ class RegionAnchorScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()
 
     @property
     def region_distances(self) -> list[int]:

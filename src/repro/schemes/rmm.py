@@ -18,8 +18,12 @@ import numpy as np
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.range_tlb import RangeTable, RangeTLB
-from repro.hw.tlb import SetAssociativeTLB
-from repro.schemes.base import TranslationScheme, promote_huge_pages
+from repro.schemes.base import (
+    L2_ARRAY,
+    Hardware,
+    TranslationScheme,
+    promote_huge_pages,
+)
 from repro.sim.lru import collapse_runs, lookup_sorted, simulate_block, sorted_arrays
 from repro.vmos.mapping import MemoryMapping
 
@@ -36,6 +40,13 @@ class RMMScheme(TranslationScheme):
     #: raw bucket/range key it writes, so tagged tenants may share the
     #: L2 and the range TLB without aliasing address spaces.
     tag_safe_block = True
+    hardware = {
+        **TranslationScheme.hardware,
+        "l2": L2_ARRAY,
+        # All tenants' ranges contend for one range TLB's few fully
+        # associative slots.
+        "range_tlb": Hardware(lambda s: RangeTLB()),
+    }
 
     def __init__(
         self,
@@ -43,8 +54,6 @@ class RMMScheme(TranslationScheme):
         config: MachineConfig = DEFAULT_MACHINE,
     ) -> None:
         super().__init__(mapping, config)
-        self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
-        self.range_tlb = RangeTLB()
         self._build_os_views()
 
     def _build_os_views(self) -> None:
@@ -66,11 +75,6 @@ class RMMScheme(TranslationScheme):
     def _prepare_share(self) -> None:
         super()._prepare_share()
         self._sorted_views()
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
-        self.range_tlb = RangeTLB(self.range_tlb.capacity)
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -261,8 +265,3 @@ class RMMScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()
-        self.range_tlb.flush()

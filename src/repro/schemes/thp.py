@@ -15,6 +15,8 @@ from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.tlb import SetAssociativeTLB
 from repro.schemes.base import (
+    L2_ARRAY,
+    Hardware,
     TranslationScheme,
     promote_giga_pages,
     promote_huge_pages,
@@ -45,6 +47,14 @@ class THPScheme(TranslationScheme):
     #: All four arrays resolve through :func:`simulate_block`, which
     #: packs the array tag itself — the fast path is tag-aware as-is.
     tag_safe_block = True
+    hardware = {
+        **TranslationScheme.hardware,
+        "l2": L2_ARRAY,
+        "l2_giga": Hardware(
+            lambda s: SetAssociativeTLB(s.config.l2_1g.entries,
+                                        s.config.l2_1g.ways)
+            if s.use_giga else None),
+    }
 
     def __init__(
         self,
@@ -52,14 +62,10 @@ class THPScheme(TranslationScheme):
         config: MachineConfig = DEFAULT_MACHINE,
         use_giga: bool = False,
     ) -> None:
-        super().__init__(mapping, config)
         self.use_giga = use_giga
-        self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
+        super().__init__(mapping, config)
         if use_giga:
             self.name = "thp1g"
-            self.l2_giga = SetAssociativeTLB(
-                config.l2_1g.entries, config.l2_1g.ways
-            )
         self._build_promotions()
 
     def _build_promotions(self) -> None:
@@ -94,14 +100,6 @@ class THPScheme(TranslationScheme):
     def _prepare_share(self) -> None:
         super()._prepare_share()
         self._membership_views()
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
-        if self.use_giga:
-            self.l2_giga = SetAssociativeTLB(
-                self.config.l2_1g.entries, self.config.l2_1g.ways
-            )
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -253,12 +251,6 @@ class THPScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()
-        if self.use_giga:
-            self.l2_giga.flush()
 
     @property
     def huge_windows(self) -> int:

@@ -1,11 +1,8 @@
 """The unified simulation API: ``SimRequest`` in, ``SimReply`` out.
 
-Before this module existed the repo had three parallel front doors —
-``simulate()`` for one scheme/trace pair, ``simulate_multiprogrammed()``
-for time-shared processes, and ``JobSpec``/``execute_job`` for the
-orchestrated matrix — each with its own argument conventions.  Every
-entry point now normalises to one frozen, declarative
-:class:`SimRequest`:
+Every entry point — one scheme/trace cell, a distance selection, the
+orchestrated matrix, a multi-tenant fleet, the service — normalises to
+one frozen, declarative :class:`SimRequest`:
 
 * ``kind="simulate"`` — one (workload, scenario, scheme) cell;
 * ``kind="distances"`` — the Algorithm 1 distance selection for a
@@ -19,9 +16,8 @@ requests always collide, any field perturbation changes the key, and
 the key is byte-for-byte identical however the request is executed
 (in-process, on the orchestrator's pool, or through the service).  New
 fields (``engine``, ``tenancy``) enter the hashed description only
-when they differ from their defaults, so every key minted by the old
-``JobSpec`` remains valid: existing result caches carry over
-unchanged.
+when they differ from their defaults, so keys minted before they
+existed remain valid: existing result caches carry over unchanged.
 
 :func:`execute_request` is the one picklable entry point; the
 orchestrator's workers and the service's process pool both call it.

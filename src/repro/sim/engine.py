@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from warnings import warn
 
 from repro.sim.stats import TranslationStats, canonical_json
 from repro.sim.trace import Trace, TraceSource
@@ -174,30 +173,4 @@ def run_trace(
         distance_changes=changes,
         epochs=epochs,
         epoch_stats=epoch_stats,
-    )
-
-
-def simulate(
-    scheme,
-    trace: Trace | TraceSource,
-    epoch_references: int | None = DEFAULT_EPOCH_REFERENCES,
-    on_epoch: Callable[[int, object], None] | None = None,
-    engine: str = "batched",
-) -> SimulationResult:
-    """Deprecated alias of :func:`run_trace`.
-
-    The name collided with the request-level entry points
-    (``simulate_request``, ``simulate_fleet``) once the unified
-    :mod:`repro.sim.api` landed; the engine-level call is now
-    ``run_trace``.
-    """
-    warn(
-        "simulate() is deprecated; use repro.sim.engine.run_trace() "
-        "(or build a repro.sim.api.SimRequest)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_trace(
-        scheme, trace, epoch_references=epoch_references,
-        on_epoch=on_epoch, engine=engine,
     )

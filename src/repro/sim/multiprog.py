@@ -21,14 +21,14 @@ faster after a flush, because one entry re-covers a whole window.
 The scheduler itself has moved to :mod:`repro.sim.tenants`, which adds
 the third model — a genuinely *shared* tagged hierarchy with ASID
 recycling and per-tenant distance registers — and scales to fleets of
-thousands of tenants.  This module keeps the :class:`ProcessRun` /
-:class:`MultiProgramResult` data types and a deprecated shim.
+thousands of tenants (:func:`repro.sim.tenants.run_timeshared` runs
+these processes).  This module keeps the :class:`ProcessRun` /
+:class:`MultiProgramResult` data types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from warnings import warn
 
 from repro.sim.stats import TranslationStats
 from repro.sim.trace import Trace
@@ -62,27 +62,3 @@ class MultiProgramResult:
 
     def total_walks(self) -> int:
         return sum(s.walks for s in self.stats.values())
-
-
-def simulate_multiprogrammed(
-    runs: list[ProcessRun],
-    quantum: int = 5_000,
-    flush_on_switch: bool = True,
-) -> MultiProgramResult:
-    """Deprecated alias for :func:`repro.sim.tenants.run_timeshared`.
-
-    The scheduler now lives in :mod:`repro.sim.tenants`, which also
-    fixes this function's historical accounting drift: a process that
-    exhausted its trace mid-round used to keep receiving (empty) slices
-    that still charged switches and flushes to its neighbours.
-    """
-    warn(
-        "simulate_multiprogrammed() is deprecated; use "
-        "repro.sim.tenants.run_timeshared() (or run_schedule() / "
-        "simulate_fleet() for tagged multi-tenant runs)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sim.tenants import run_timeshared
-
-    return run_timeshared(runs, quantum=quantum, flush_on_switch=flush_on_switch)

@@ -47,9 +47,7 @@ import numpy as np
 
 from repro.params import DEFAULT_MACHINE, SCENARIO_ORDER, MachineConfig
 from repro.hw.anchor_tlb import AnchorL2TLB
-from repro.hw.l1 import L1TLB
-from repro.hw.range_tlb import RangeTLB
-from repro.hw.tlb import TAG_BITS, SetAssociativeTLB
+from repro.hw.tlb import TAG_BITS
 from repro.sim.multiprog import MultiProgramResult, ProcessRun
 from repro.sim.stats import COUNTER_FIELDS, TranslationStats
 from repro.sim.trace_store import TraceStore
@@ -125,9 +123,15 @@ class ScheduleCounters:
     storm_rounds: int = 0
 
 
-def _save_distance(member: TenantRun, registers: DistanceRegisterFile) -> None:
+def _distance_register(member: TenantRun) -> AnchorL2TLB | None:
+    """The tenant's anchor L2, which holds its distance register."""
     l2 = getattr(member.scheme, "l2", None)
-    if isinstance(l2, AnchorL2TLB):
+    return l2 if isinstance(l2, AnchorL2TLB) else None
+
+
+def _save_distance(member: TenantRun, registers: DistanceRegisterFile) -> None:
+    l2 = _distance_register(member)
+    if l2 is not None:
         registers.save(member.name, l2.distance)
 
 
@@ -136,12 +140,11 @@ def _activate(
 ) -> None:
     """Switch-in under the tagged policy: select the ASID and reload
     the anchor-distance register (§3.1), flushing nothing."""
-    scheme = member.scheme
-    scheme.set_asid(member.asid)
+    member.scheme.set_asid(member.asid)
     if registers is None:
         return
-    l2 = getattr(scheme, "l2", None)
-    if isinstance(l2, AnchorL2TLB):
+    l2 = _distance_register(member)
+    if l2 is not None:
         saved = registers.restore(member.name)
         if saved is not None:
             l2.restore_distance(saved)
@@ -258,9 +261,8 @@ def run_timeshared(
 ) -> MultiProgramResult:
     """Round-robin ``ProcessRun``s in ``quantum``-reference time slices.
 
-    The replacement for the deprecated
-    :func:`repro.sim.multiprog.simulate_multiprogrammed`, with the
-    empty-slice accounting drift fixed (see :func:`run_schedule`).
+    A process that exhausts its trace is dropped without charging a
+    switch or a flush (see :func:`run_schedule`).
     ``flush_on_switch=False`` keeps each process's per-scheme state
     (the ideally partitioned tagged TLB of the legacy module).
     """
@@ -861,72 +863,6 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
         )
         return _Cursor(source.iter_chunks(chunk))
 
-    def bind_shared(s: Any) -> None:
-        """Point this tenant's scheme at the one physical hierarchy."""
-        nonlocal shared, allocator
-        if shared is None:
-            shared = {"l1": L1TLB(machine)}
-            structures: list[Any] = [shared["l1"]]
-            if s.pwc is not None:
-                from repro.hw.pwc import PageWalkCache
-
-                shared["pwc"] = PageWalkCache()
-                structures.append(shared["pwc"])
-            l2 = getattr(s, "l2", None)
-            if isinstance(l2, AnchorL2TLB):
-                # Tenants keep their own AnchorL2TLB wrapper (distance
-                # register view) around one shared physical array.
-                shared["anchor_array"] = SetAssociativeTLB(
-                    machine.l2.entries, machine.l2.ways
-                )
-                structures.append(shared["anchor_array"])
-            elif isinstance(l2, SetAssociativeTLB):
-                shared["l2"] = SetAssociativeTLB(
-                    machine.l2.entries, machine.l2.ways
-                )
-                structures.append(shared["l2"])
-            if isinstance(getattr(s, "l2_giga", None), SetAssociativeTLB):
-                shared["l2_giga"] = SetAssociativeTLB(
-                    machine.l2_1g.entries, machine.l2_1g.ways
-                )
-                structures.append(shared["l2_giga"])
-            regular = getattr(s, "regular", None)
-            if isinstance(regular, SetAssociativeTLB):
-                # Cluster schemes: the statically partitioned L2.
-                # Tenants keep their own ClusterTLB wrapper around one
-                # shared physical array (the AnchorL2TLB pattern).
-                shared["cluster_regular"] = SetAssociativeTLB(
-                    regular.entries, regular.ways
-                )
-                structures.append(shared["cluster_regular"])
-                carray = s.clustered.array
-                shared["cluster_array"] = SetAssociativeTLB(
-                    carray.entries, carray.ways
-                )
-                structures.append(shared["cluster_array"])
-            rtlb = getattr(s, "range_tlb", None)
-            if isinstance(rtlb, RangeTLB):
-                # RMM: all tenants' ranges share one physical range TLB
-                # and contend for its few fully associative slots.
-                shared["range_tlb"] = RangeTLB(rtlb.capacity)
-                structures.append(shared["range_tlb"])
-            allocator = _AsidAllocator(structures, bits=task.asid_bits)
-        s.l1 = shared["l1"]
-        if s.pwc is not None and "pwc" in shared:
-            s.pwc = shared["pwc"]
-        l2 = getattr(s, "l2", None)
-        if isinstance(l2, AnchorL2TLB):
-            l2.array = shared["anchor_array"]
-        elif "l2" in shared and isinstance(l2, SetAssociativeTLB):
-            s.l2 = shared["l2"]
-        if "l2_giga" in shared and getattr(s, "l2_giga", None) is not None:
-            s.l2_giga = shared["l2_giga"]
-        if "cluster_regular" in shared and getattr(s, "regular", None) is not None:
-            s.regular = shared["cluster_regular"]
-            s.clustered.array = shared["cluster_array"]
-        if "range_tlb" in shared and getattr(s, "range_tlb", None) is not None:
-            s.range_tlb = shared["range_tlb"]
-
     previous: TenantRun | None = None
     waves = 0
     executed_total = 0
@@ -952,12 +888,17 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
                 scenario=spec.scenario,
             )
             if policy == "tagged":
-                bind_shared(scheme_obj)
+                # The first tenant's fresh hardware becomes the one
+                # physical hierarchy every later tenant binds to.
+                if shared is None:
+                    shared = scheme_obj.shared_hardware()
+                    allocator = _AsidAllocator(
+                        list(shared.values()), bits=task.asid_bits)
+                else:
+                    scheme_obj.bind_hardware(shared)
                 assert allocator is not None
                 member.asid = allocator.allocate()
-                l2 = getattr(scheme_obj, "l2", None)
-                if isinstance(l2, AnchorL2TLB):
-                    registers.save(member.name, l2.distance)
+                _save_distance(member, registers)
             members.append(member)
         kernel_start = time.perf_counter()
         previous = run_schedule(
@@ -1149,6 +1090,13 @@ def simulate_fleet(
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if active_pool <= 0:
         raise ValueError("active_pool must be positive")
+    if policy == "tagged" and active_pool >= 1 << asid_bits:
+        # ASIDs are allocated at admission, so a wave larger than the
+        # namespace would hand one live tag to two running tenants.
+        raise ValueError(
+            f"active_pool {active_pool} exceeds the {(1 << asid_bits) - 1} "
+            f"usable ASIDs of asid_bits={asid_bits}"
+        )
     if shards <= 0:
         raise ValueError("shards must be positive")
     if workers < 0:

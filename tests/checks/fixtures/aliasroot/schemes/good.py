@@ -60,6 +60,19 @@ class ResetScheme(TranslationScheme):
         self.scratch = np.zeros(16, dtype=np.int64)
 
 
+class HardwareScheme(TranslationScheme):
+    """Declared hardware is rebuilt per clone, so it is not shared."""
+
+    hardware = {"victim": None}
+
+    def __init__(self, mapping, config):
+        super().__init__(mapping, config)
+        self.victim = np.zeros(16, dtype=np.int64)
+
+    def fill(self):
+        self.victim[0] = 1
+
+
 class PrepScheme(TranslationScheme):
     """Helpers reachable from the share protocol are part of it."""
 

@@ -2,6 +2,7 @@ from schemes.bad import MutatingScheme
 from schemes.good import (
     BuilderScheme,
     CowScheme,
+    HardwareScheme,
     PrepScheme,
     RebindScheme,
     ResetScheme,
@@ -19,6 +20,8 @@ def make_scheme(name, mapping, config):
         return BuilderScheme(mapping, config)
     if name == "reset":
         return ResetScheme(mapping, config)
+    if name == "hardware":
+        return HardwareScheme(mapping, config)
     if name == "prep":
         return PrepScheme(mapping, config)
     raise KeyError(name)

@@ -1,4 +1,4 @@
-from repro.schemes.base import TranslationScheme
+from repro.schemes.base import Hardware, TranslationScheme
 from repro.vmos.anchor_directory import AnchorDirectory
 from repro.vmos.ranges import RangeTable
 
@@ -57,6 +57,19 @@ class CleanCloneScheme(TranslationScheme):
     def _reset_clone(self):
         self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
         self._resident = set()
+
+
+class DeclaredScheme(TranslationScheme):
+    """Declared hardware is rebuilt by clone_fresh: no reset needed."""
+
+    name = "declared"
+    hardware = {"l2": Hardware(lambda s: SetAssociativeTLB(64, 4))}
+
+    def access(self, vpn):
+        return 0
+
+    def _translate(self, vpn):
+        return 0
 
 
 class Helper:

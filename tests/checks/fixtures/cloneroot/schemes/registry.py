@@ -1,5 +1,6 @@
 from repro.checks_fixture.schemes.impl import (
     CleanCloneScheme,
+    DeclaredScheme,
     ForgetfulScheme,
     RebuildingScheme,
 )
@@ -10,4 +11,6 @@ def make_scheme(name, mapping):
         return ForgetfulScheme(mapping)
     if name == "rebuilding":
         return RebuildingScheme(mapping)
+    if name == "declared":
+        return DeclaredScheme(mapping)
     return CleanCloneScheme(mapping)

@@ -13,19 +13,3 @@ class SetAssociativeTLB:
 
     def lookup(self, idx, key):
         return self._sets.get(key | self._tag_base)
-
-
-class RangeTLB:
-    def __init__(self):
-        self._entries = {}
-        self._tag_base = 0
-
-    def set_tag(self, tag):
-        self._tag_base = tag << TAG_SHIFT
-
-
-class ClusterTLB:
-    """TLB-like only through its inner array (no set_tag of its own)."""
-
-    def __init__(self, geometry):
-        self.array = SetAssociativeTLB(geometry, 4)

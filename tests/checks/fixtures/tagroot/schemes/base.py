@@ -16,15 +16,6 @@ class TranslationScheme:
         for vpn in vpns:
             self.access(vpn)
 
-    def set_asid(self, asid):
-        if not self.tag_safe_block:
-            raise ValueError("scheme does not support ASID tagging")
-        self.l1.set_tag(asid)
-        for attr in ("l2", "range_tlb"):
-            tlb = getattr(self, attr, None)
-            if tlb is not None:
-                tlb.set_tag(asid)
-
     def _prepare_share(self):
         pass
 

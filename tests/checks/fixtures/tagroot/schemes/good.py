@@ -1,6 +1,6 @@
 """Clean tag-safety patterns: nothing here may be flagged."""
 
-from hw.tlb import TAG_SHIFT, ClusterTLB, RangeTLB, SetAssociativeTLB
+from hw.tlb import TAG_SHIFT, SetAssociativeTLB
 from schemes.base import TranslationScheme
 from sim.lru import simulate_block
 
@@ -13,7 +13,6 @@ class BatchedScheme(TranslationScheme):
     def __init__(self, mapping, config):
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(1024, 8)
-        self.range_tlb = RangeTLB()
 
     def access(self, vpn):
         return vpn
@@ -26,7 +25,6 @@ class BatchedScheme(TranslationScheme):
 
     def _reset_clone(self):
         self.l2 = SetAssociativeTLB(1024, 8)
-        self.range_tlb = RangeTLB()
 
 
 class OrIdiomScheme(TranslationScheme):
@@ -37,7 +35,6 @@ class OrIdiomScheme(TranslationScheme):
     def __init__(self, mapping, config):
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(1024, 8)
-        self.clustered = ClusterTLB(64)
 
     def access(self, vpn):
         return vpn
@@ -47,25 +44,19 @@ class OrIdiomScheme(TranslationScheme):
         for vpn in vpns:
             self.l2._sets[vpn | tag_base] = vpn
 
-    def set_asid(self, asid):
-        super().set_asid(asid)
-        self.clustered.array.set_tag(asid)
-
     def _reset_clone(self):
         self.l2 = SetAssociativeTLB(1024, 8)
-        self.clustered = ClusterTLB(64)
 
 
 class OptOutScheme(TranslationScheme):
     """tag_safe_block = False opts out of tagging wholesale: raw keys
-    and no cascade are fine here."""
+    are fine here."""
 
     tag_safe_block = False
 
     def __init__(self, mapping, config):
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(1024, 8)
-        self.private = SetAssociativeTLB(32, 8)
 
     def access(self, vpn):
         return vpn
@@ -76,4 +67,3 @@ class OptOutScheme(TranslationScheme):
 
     def _reset_clone(self):
         self.l2 = SetAssociativeTLB(1024, 8)
-        self.private = SetAssociativeTLB(32, 8)

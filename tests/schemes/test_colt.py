@@ -4,7 +4,7 @@ import pytest
 
 from repro.mem.frames import FrameRange
 from repro.schemes.colt_scheme import ColtScheme
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.vmos.mapping import MemoryMapping
 
 
@@ -49,5 +49,5 @@ class TestColt:
     def test_conservation(self, runs_mapping, make_trace):
         scheme = ColtScheme(runs_mapping)
         trace = make_trace([0, 1, 2, 16, 17, 24, 0, 5, 18, 24] * 20)
-        stats = simulate(scheme, trace).stats
+        stats = run_trace(scheme, trace).stats
         stats.check_conservation()

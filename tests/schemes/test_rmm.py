@@ -4,7 +4,7 @@ import pytest
 
 from repro.mem.frames import FrameRange
 from repro.schemes.rmm import RMMScheme
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.vmos.mapping import MemoryMapping
 
 
@@ -61,4 +61,4 @@ class TestRMM:
         trace = make_trace(
             [vpn for vpn, _ in list(few_ranges.items())[::5]] * 3
         )
-        simulate(scheme, trace).stats.check_conservation()
+        run_trace(scheme, trace).stats.check_conservation()

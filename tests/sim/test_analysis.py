@@ -12,7 +12,7 @@ from repro.sim.analysis import (
     reuse_distances,
     working_set_size,
 )
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.sim.trace import Trace
 from repro.sim.workloads import get_workload
 
@@ -92,7 +92,7 @@ class TestMissEstimation:
             mapping.map_run(vma.start_vpn, FrameRange((1 << 20) + base, vma.pages))
             base += vma.pages + 1
         scheme = BaselineScheme(mapping)
-        simulated = simulate(scheme, trace).stats.miss_ratio()
+        simulated = run_trace(scheme, trace).stats.miss_ratio()
         # L1 (64) + L2 (1024) hierarchy: compare against ideal 1024+64.
         ideal = estimated_miss_ratio(trace, 1024 + 64)
         assert simulated >= ideal - 0.01

@@ -52,14 +52,10 @@ class TestKeyCompatibility:
         assert "engine" not in description
         assert "tenancy" not in description
 
-    def test_jobspec_alias_mints_identical_keys(self):
-        from repro.sim.runner import JobSpec
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = JobSpec(workload="sphinx3", scenario="medium",
-                             scheme="base", references=500, seed=3)
-        assert legacy.key() == request_of().key()
+    def test_default_key_matches_legacy_jobspec_key(self):
+        # The key the pre-SimRequest JobSpec minted for this cell.
+        assert request_of().key() == (
+            "a0e4f504da22acd530a485992f4ca66b1b81160b6f65144a0a2bd5c930fa76fb")
 
     def test_non_default_engine_and_tenancy_perturb_key(self):
         base = request_of()
@@ -155,63 +151,6 @@ class TestWireForm:
         assert SimReply.from_dict(reply.to_dict()) == reply
 
 
-class TestDeprecatedShims:
-    def test_simulate_warns_and_delegates(self):
-        import numpy as np
-
-        from repro.mem.frames import FrameRange
-        from repro.schemes.baseline import BaselineScheme
-        from repro.sim.engine import run_trace, simulate
-        from repro.sim.trace import Trace
-        from repro.vmos.mapping import MemoryMapping
-
-        def scheme_and_trace():
-            mapping = MemoryMapping()
-            mapping.map_run(0, FrameRange(10_000, 64))
-            rng = np.random.default_rng(1)
-            return (BaselineScheme(mapping),
-                    Trace(rng.integers(0, 64, 400), 1200, "t"))
-
-        with pytest.warns(DeprecationWarning, match="run_trace"):
-            scheme, trace = scheme_and_trace()
-            legacy = simulate(scheme, trace)
-        scheme, trace = scheme_and_trace()
-        modern = run_trace(scheme, trace)
-        assert legacy.stats.snapshot() == modern.stats.snapshot()
-
-    def test_simulate_multiprogrammed_warns(self):
-        import numpy as np
-
-        from repro.mem.frames import FrameRange
-        from repro.schemes.baseline import BaselineScheme
-        from repro.sim.multiprog import ProcessRun, simulate_multiprogrammed
-        from repro.sim.trace import Trace
-        from repro.vmos.mapping import MemoryMapping
-
-        mapping = MemoryMapping()
-        mapping.map_run(0, FrameRange(10_000, 64))
-        rng = np.random.default_rng(1)
-        run = ProcessRun("a", BaselineScheme(mapping),
-                         Trace(rng.integers(0, 64, 400), 1200, "a"))
-        with pytest.warns(DeprecationWarning, match="run_timeshared"):
-            simulate_multiprogrammed([run], quantum=100)
-
-    def test_jobspec_construction_warns(self):
-        from repro.sim.runner import JobSpec
-
-        with pytest.warns(DeprecationWarning, match="SimRequest"):
-            JobSpec(workload="gups", scenario="medium", scheme="base",
-                    references=100, seed=1)
-
-    def test_execute_job_warns_and_matches_execute_request(self):
-        from repro.sim.runner import execute_job
-
-        request = request_of(references=300)
-        with pytest.warns(DeprecationWarning, match="execute_request"):
-            legacy = execute_job(request)
-        assert legacy == execute_request(request)
-
-
 class TestExecuteRequest:
     def test_simulate_kind(self):
         payload = execute_request(request_of(references=300))
@@ -250,8 +189,7 @@ class TestExecuteRequest:
 
 
 class TestNoInternalShimCallers:
-    """The deprecated entry points must have no callers left inside the
-    package — exercising the public surface emits no DeprecationWarning."""
+    """Exercising the public surface emits no DeprecationWarning."""
 
     def test_matrix_runner_path_is_warning_free(self):
         from repro.experiments.common import ExperimentConfig, MatrixRunner

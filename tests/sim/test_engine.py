@@ -6,7 +6,7 @@ import pytest
 from repro.mem.frames import FrameRange
 from repro.schemes.anchor_scheme import AnchorScheme
 from repro.schemes.baseline import BaselineScheme
-from repro.sim.engine import SimulationResult, simulate
+from repro.sim.engine import SimulationResult, run_trace
 from repro.sim.trace import Trace
 from repro.vmos.mapping import MemoryMapping
 
@@ -25,7 +25,7 @@ def trace(length=1000, pages=256, seed=0, name="w"):
 
 class TestSimulate:
     def test_result_fields(self, mapping):
-        result = simulate(BaselineScheme(mapping), trace(500))
+        result = run_trace(BaselineScheme(mapping), trace(500))
         assert isinstance(result, SimulationResult)
         assert result.scheme == "base"
         assert result.workload == "w"
@@ -33,30 +33,30 @@ class TestSimulate:
         assert result.epochs == 1
 
     def test_epoch_splitting(self, mapping):
-        result = simulate(BaselineScheme(mapping), trace(1000),
+        result = run_trace(BaselineScheme(mapping), trace(1000),
                           epoch_references=250)
         assert result.epochs == 4
         assert result.stats.accesses == 1000
 
     def test_epoch_none_runs_whole_trace(self, mapping):
-        result = simulate(BaselineScheme(mapping), trace(100),
+        result = run_trace(BaselineScheme(mapping), trace(100),
                           epoch_references=None)
         assert result.epochs == 1
 
     def test_epoch_validation(self, mapping):
         with pytest.raises(ValueError):
-            simulate(BaselineScheme(mapping), trace(10), epoch_references=-1)
+            run_trace(BaselineScheme(mapping), trace(10), epoch_references=-1)
 
     def test_anchor_reselect_called_at_epochs(self, mapping):
         scheme = AnchorScheme(mapping)
-        result = simulate(scheme, trace(1000), epoch_references=200)
+        result = run_trace(scheme, trace(1000), epoch_references=200)
         # Static mapping: the selection must be stable (paper §4.1).
         assert result.distance_changes == 0
         assert result.anchor_distance == scheme.distance
 
     def test_on_epoch_hook(self, mapping):
         seen = []
-        simulate(
+        run_trace(
             BaselineScheme(mapping),
             trace(1000),
             epoch_references=250,
@@ -83,26 +83,26 @@ class TestSimulate:
                 cursor += 1
             s.rebuild(shattered)
 
-        result = simulate(scheme, trace(4000, pages=4096),
+        result = run_trace(scheme, trace(4000, pages=4096),
                           epoch_references=1000, on_epoch=churn)
         assert result.stats.accesses == 4000
         assert scheme.distance != initial
         assert scheme.shootdowns.distance_changes
 
     def test_relative_misses(self, mapping):
-        base = simulate(BaselineScheme(mapping), trace(500))
-        anchor = simulate(AnchorScheme(mapping, distance=64), trace(500))
+        base = run_trace(BaselineScheme(mapping), trace(500))
+        anchor = run_trace(AnchorScheme(mapping, distance=64), trace(500))
         relative = anchor.relative_misses(base)
         assert 0 < relative < 100
 
     def test_relative_misses_zero_baseline(self, mapping):
-        a = simulate(BaselineScheme(mapping), trace(10))
+        a = run_trace(BaselineScheme(mapping), trace(10))
         b = SimulationResult("x", "w", a.stats, 1)
         zero = SimulationResult("z", "w", type(a.stats)(), 1)
         assert b.relative_misses(zero) == float("inf")
         assert zero.relative_misses(zero) == 0.0
 
     def test_translation_cpi_property(self, mapping):
-        result = simulate(BaselineScheme(mapping), trace(500))
+        result = run_trace(BaselineScheme(mapping), trace(500))
         assert result.translation_cpi > 0
         assert result.miss_ratio == result.stats.miss_ratio()

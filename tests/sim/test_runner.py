@@ -19,24 +19,24 @@ from repro.errors import CellFailedError, OrchestrationError
 from repro.params import DEFAULT_MACHINE, MachineConfig, TLBGeometry
 from repro.sim.runner import (
     STATIC_IDEAL,
-    JobSpec,
     Orchestrator,
     ResultStore,
+    SimRequest,
     combine_summaries,
-    execute_job,
+    execute_request,
     mapping_digest,
     trace_digest,
 )
 from repro.sim.stats import canonical_json
 
 
-def spec_of(**overrides) -> JobSpec:
+def spec_of(**overrides) -> SimRequest:
     defaults = dict(
         workload="sphinx3", scenario="medium", scheme="base",
         references=500, seed=3,
     )
     defaults.update(overrides)
-    return JobSpec(**defaults)
+    return SimRequest(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def spec_of(**overrides) -> JobSpec:
 
 SMALL_MACHINE = MachineConfig(l2=TLBGeometry(512, 8))
 
-#: One perturbation per JobSpec field that must change the key.
+#: One perturbation per SimRequest field that must change the key.
 PERTURBATIONS = {
     "workload": "gups",
     "scenario": "low",
@@ -176,19 +176,19 @@ class TestResultStore:
 
 class TestExecuteJob:
     def test_simulate_payload_roundtrips(self):
-        payload = execute_job(spec_of())
+        payload = execute_request(spec_of())
         assert payload["scheme"] == "base"
         assert payload["stats"]["accesses"] == 500
         json.dumps(payload)  # JSON-safe
 
     def test_distances_kind(self):
-        payload = execute_job(spec_of(kind="distances", scheme="-"))
+        payload = execute_request(spec_of(kind="distances", scheme="-"))
         assert isinstance(payload["distance"], int)
         assert payload["distance"] >= 2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(OrchestrationError):
-            execute_job(spec_of(kind="nope"))
+            execute_request(spec_of(kind="nope"))
 
 
 class TestOrchestratorSerial:
@@ -283,8 +283,8 @@ class TestDigestGuards:
 
     def test_worker_caches_key_on_seed_and_references(self):
         """Two configs differing only in seed never alias a trace."""
-        a = execute_job(spec_of(seed=1))
-        b = execute_job(spec_of(seed=2))
+        a = execute_request(spec_of(seed=1))
+        b = execute_request(spec_of(seed=2))
         assert a["stats"] != b["stats"]
 
 

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.sim.runner import (
-    JobSpec,
     Orchestrator,
     ResultStore,
     RunSummary,
+    SimRequest,
     TraceStore,
     combine_summaries,
 )
@@ -28,8 +28,8 @@ SCHEMES = ("base", "thp", "anchor-dyn")
 
 def specs_for(workload="gups", schemes=SCHEMES):
     return [
-        JobSpec(workload=workload, scenario="demand", scheme=scheme,
-                references=REFERENCES, seed=SEED, epoch_references=500)
+        SimRequest(workload=workload, scenario="demand", scheme=scheme,
+                   references=REFERENCES, seed=SEED, epoch_references=500)
         for scheme in schemes
     ]
 

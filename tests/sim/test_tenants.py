@@ -309,6 +309,19 @@ class TestFleet:
                               quantum=400, active_pool=4)
         assert wide.asid_recycles == 0
 
+    def test_active_pool_must_fit_the_asid_namespace(self):
+        """Two co-scheduled tenants must never hold the same tag: their
+        entries would alias in every shared array."""
+        fleet = TenantFleet(size=8, workloads=("gups",),
+                            scenarios=("medium",), references=500, seed=3)
+        with pytest.raises(ValueError, match="usable ASIDs"):
+            simulate_fleet(fleet, scheme="anchor-dyn", policy="tagged",
+                           quantum=250, active_pool=4, asid_bits=2)
+        # Three tags cover a wave of three; the namespace still wraps.
+        result = simulate_fleet(fleet, scheme="anchor-dyn", policy="tagged",
+                                quantum=250, active_pool=3, asid_bits=2)
+        assert result.asid_recycles == 8 - 3
+
     def test_unsafe_scheme_rejected_for_tagged_fleet(self):
         fleet = TenantFleet(size=2, workloads=("gups",),
                             scenarios=("medium",), references=500, seed=1)

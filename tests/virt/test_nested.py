@@ -138,7 +138,7 @@ class TestNestedMachine:
 
     def test_schemes_run_on_composition(self):
         from repro.schemes import make_scheme, scheme_names
-        from repro.sim.engine import simulate
+        from repro.sim.engine import run_trace
 
         vmas = layout_vmas([AllocationSite(512, 1)])
         guest = build_mapping(vmas, "medium", seed=5)
@@ -151,7 +151,7 @@ class TestNestedMachine:
         trace = Trace(np.asarray(workload_vpns * 5, dtype=np.int64), 1000)
         machine = nested_machine()
         for name in scheme_names():
-            result = simulate(make_scheme(name, composed, machine), trace)
+            result = run_trace(make_scheme(name, composed, machine), trace)
             result.stats.check_conservation()
             # A walk now costs 300 cycles.
             if result.stats.walks and not result.stats.walk_pt_accesses:
