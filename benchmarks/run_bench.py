@@ -6,7 +6,13 @@ registered scheme under both engines — with and without the page-walk
 caches — asserts the counter snapshots are bit-identical, and writes
 ``BENCH_engine.json`` next to the repo root:
 
-    PYTHONPATH=src python benchmarks/run_bench.py [--references N]
+    PYTHONPATH=src python benchmarks/run_bench.py [--references N] [--block N]
+
+``--block`` sets the references per ``access_block`` call
+(``run_trace``'s ``epoch_references``); it defaults to the engine's
+``DEFAULT_EPOCH_REFERENCES`` (50k), the block every committed
+``BENCH_engine.json`` was taken at.  ``--block 500`` measures the tagged
+fleet's real block size.
 
 The JSON records per-scheme wall-clock seconds, references/second and
 the batched-over-scalar speedup, one entry per ``name`` (PWC off) and
@@ -25,7 +31,7 @@ from pathlib import Path
 
 from repro.params import DEFAULT_MACHINE
 from repro.schemes.registry import make_scheme, scheme_names
-from repro.sim.engine import run_trace
+from repro.sim.engine import DEFAULT_EPOCH_REFERENCES, run_trace
 from repro.sim.trace import Trace
 from repro.sim.workloads import get_workload
 from repro.util.proc import peak_rss_bytes
@@ -38,7 +44,8 @@ TRACE_SEED = 11
 
 
 def bench_scheme(name: str, mapping: MemoryMapping, trace: Trace,
-                 repeats: int, pwc: bool = False) -> dict:
+                 repeats: int, pwc: bool = False,
+                 block: int = DEFAULT_EPOCH_REFERENCES) -> dict:
     references = trace.references
     machine = (dataclasses.replace(DEFAULT_MACHINE, pwc=True)
                if pwc else DEFAULT_MACHINE)
@@ -49,7 +56,7 @@ def bench_scheme(name: str, mapping: MemoryMapping, trace: Trace,
         for _ in range(repeats):
             scheme = make_scheme(name, mapping, machine)
             start = time.perf_counter()
-            run_trace(scheme, trace, engine=engine)
+            run_trace(scheme, trace, epoch_references=block, engine=engine)
             best = min(best, time.perf_counter() - start)
         timings[engine] = best
         snapshots[engine] = scheme.stats.snapshot()
@@ -74,12 +81,15 @@ def main() -> None:
     parser.add_argument("--references", type=int, default=1_000_000)
     parser.add_argument("--repeats", type=int, default=2,
                         help="runs per engine; the best time is kept")
+    parser.add_argument("--block", type=int,
+                        default=DEFAULT_EPOCH_REFERENCES,
+                        help="references per access_block call")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_engine.json")
     args = parser.parse_args()
-    if args.references <= 0 or args.repeats <= 0:
-        parser.error("--references and --repeats must be positive")
+    if args.references <= 0 or args.repeats <= 0 or args.block <= 0:
+        parser.error("--references, --repeats and --block must be positive")
 
     workload = get_workload("gups")
     mapping = build_mapping(workload.vmas(), "demand", seed=MAPPING_SEED)
@@ -93,6 +103,7 @@ def main() -> None:
 
     results = {"workload": "gups", "scenario": "demand",
                "mapping_seed": MAPPING_SEED, "trace_seed": TRACE_SEED,
+               "block": args.block,
                "host": host_metadata(),
                "trace_generation_seconds": round(trace_seconds, 4),
                "trace_refs_per_sec": round(args.references / trace_seconds),
@@ -101,7 +112,8 @@ def main() -> None:
     for name in TIMED_SCHEMES:
         for pwc in (False, True):
             key = f"{name}+pwc" if pwc else name
-            entry = bench_scheme(name, mapping, trace, args.repeats, pwc=pwc)
+            entry = bench_scheme(name, mapping, trace, args.repeats, pwc=pwc,
+                                 block=args.block)
             if pwc:
                 # The ratio ROADMAP item 1 gates on: what enabling the
                 # page-walk caches costs the batched engine, per scheme.

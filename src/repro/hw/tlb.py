@@ -88,13 +88,6 @@ class SetAssociativeTLB:
             dropped += len(stale)
         return dropped
 
-    def tag_occupancy(self, tag: int) -> int:
-        """Resident entries carrying ``tag`` (fleet-test observability)."""
-        return sum(
-            1 for bucket in self._sets for key in bucket
-            if key >> TAG_SHIFT == tag
-        )
-
     def lookup(self, index: int, key: int) -> object | None:
         """Return the value stored under ``key`` (touching LRU) or None."""
         bucket = self._sets[index & self.index_mask]

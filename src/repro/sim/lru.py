@@ -12,8 +12,9 @@ recently accessed distinct keys of its set at that point.
 :func:`simulate_block` exploits that to resolve a whole block of
 accesses with numpy instead of one Python call per reference:
 
-1. replay the array's current entries as a synthetic prefix so the
-   window logic sees the pre-block state;
+1. replay the current entries of the sets the block touches as a
+   synthetic prefix so the window logic sees their pre-block state
+   (untouched sets cannot change and are never read or written);
 2. group the stream by set and link each access to the previous
    occurrence of its key (two packed non-stable sorts — equivalent to
    stable argsorts because the packed values are unique, and several
@@ -30,8 +31,11 @@ accesses with numpy instead of one Python call per reference:
    page-walk caches' PD level off the exact resolver;
 4. resolve the few remaining accesses with an exact per-access
    distinct-count walk;
-5. rebuild each set's final content — the last ``ways`` distinct keys
-   in recency order — directly into the array's dicts.
+5. rank the final state in one vectorised pass: the last occurrence of
+   each key, sorted by grouped (set-major) position, lays every touched
+   set out LRU -> MRU, and a rank from each set's end keeps its last
+   ``ways`` distinct keys; each touched set's dict is then rewritten
+   once from those slices.
 
 Preconditions (asserted by the parity suite rather than at runtime,
 since they hold by construction for every caller):
@@ -223,16 +227,21 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     Equivalent to ``lookup(set, key)`` followed by
     ``insert(set, key, value_of(key))`` on a miss, for every position in
     order.  Mutates ``tlb`` to its final state and returns a boolean
-    hit array.
+    hit array.  Only the sets the block touches are rewritten: each
+    one's dict is cleared and refilled once, in LRU -> MRU order, and
+    every other set's dict is left exactly as it was (same key order,
+    same value objects).
 
     When the array carries a nonzero address-space tag (``tlb.tag``),
     the incoming keys are packed with that tag exactly as the scalar
     ``lookup``/``insert`` methods pack theirs, so tagged lookups stay
     vectorised: other tenants' resident entries never match (their keys
     differ in the high bits) but still occupy ways and age through LRU —
-    the shared-TLB contention.  Foreign-tag entries surviving into the
-    final state keep their *resident* values (captured before the block)
-    because ``value_of`` can only resolve the current tenant's keys.
+    the shared-TLB contention.  Own-tag keys surviving into the final
+    state take ``value_of(key)`` (so a ``value_of`` that builds a fresh
+    entry per call decides what the array holds), while foreign-tag
+    survivors keep their *resident* values, because ``value_of`` can
+    only resolve the current tenant's keys.
     """
     n = keys.shape[0]
     hits = np.zeros(n, dtype=bool)
@@ -264,27 +273,33 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
             bucket[key] = value_of(key & KEY_MASK if tag else key)
         return hits
 
-    # Synthetic prefix: replaying the resident entries (LRU -> MRU)
-    # into an empty array reproduces the current state exactly, so the
-    # windowed logic below needs no special initial-state handling.
+    # Synthetic prefix: replaying the resident entries (LRU -> MRU) of
+    # the sets the block touches into an empty array reproduces their
+    # current state exactly, so the windowed logic below needs no
+    # special initial-state handling.  Untouched sets cannot change and
+    # stay out of the stream entirely.
+    block_sets = set_indices & mask
+    if mask:
+        touched = np.zeros(mask + 1, dtype=bool)
+        touched[block_sets] = True
+        touched_sets = np.flatnonzero(touched).tolist()
+    else:
+        touched_sets = [0]
     pre_keys: list[int] = []
     pre_sets: list[int] = []
-    pre_values: dict[int, object] = {}
-    for index, bucket in enumerate(buckets):
+    for index in touched_sets:
+        bucket = buckets[index]
         if bucket:
             pre_keys.extend(bucket)
             pre_sets.extend([index] * len(bucket))
-            if tag:
-                pre_values.update(bucket)
     n0 = len(pre_keys)
     if n0:
         all_keys = np.concatenate(
             [np.asarray(pre_keys, dtype=np.int64), keys])
+        max_key = max(max_key, max(pre_keys))
     else:
         all_keys = np.asarray(keys, dtype=np.int64)
     total = n0 + n
-    if pre_keys:
-        max_key = max(max_key, max(pre_keys))
 
     idx = np.arange(total, dtype=np.int32)
     if mask == 0:
@@ -322,16 +337,15 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
                 return hits
         g_pos = idx
         g_keys = all_keys
-        g_sets = np.zeros(1, dtype=np.int64)
-        seg_bounds = np.zeros(1, dtype=np.int32)
+        g_sets = np.zeros(total, dtype=np.int64)
         seg_start = np.int32(0)
     else:
         # Group by set, preserving order within each set.
         if n0:
             all_sets = np.concatenate(
-                [np.asarray(pre_sets, dtype=np.int64), set_indices & mask])
+                [np.asarray(pre_sets, dtype=np.int64), block_sets])
         else:
-            all_sets = set_indices & mask
+            all_sets = block_sets
         g_sets, g_pos = _sort_with_positions(all_sets, mask)
         g_keys = all_keys[g_pos]
         seg_bounds = np.flatnonzero(
@@ -467,30 +481,33 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     else:
         hits[g_pos] = g_hits
 
-    # Final state: the last `ways` distinct keys of each touched set,
-    # found by scanning a geometrically growing tail of the segment
-    # (np.unique of the reversed tail yields last occurrences).
-    seg_ends = np.append(seg_bounds[1:], total)
-    for s0, s1 in zip(seg_bounds.tolist(), seg_ends.tolist()):
-        length = 4 * ways
-        while True:
-            lo = max(s0, s1 - length)
-            reversed_tail = g_keys[lo:s1][::-1]
-            _, first_at = np.unique(reversed_tail, return_index=True)
-            if first_at.size >= ways or lo == s0:
-                break
-            length *= 8
-        first_at.sort()
-        recent = reversed_tail[first_at[:ways]]  # MRU first
-        bucket = buckets[int(g_sets[s0])]
+    # Final state: the last `ways` distinct keys of each touched set.
+    # The last entry of each equal-key run in `s_keys` is that key's
+    # last occurrence; grouped positions are set-major, so one sort of
+    # those positions lays every touched set out LRU -> MRU, and a rank
+    # from each set's end keeps its `ways` most recent keys.
+    last = s_pos[np.r_[s_keys[1:] != s_keys[:-1], True]]
+    last.sort()
+    l_sets = g_sets[last]
+    starts = np.flatnonzero(np.r_[True, l_sets[1:] != l_sets[:-1]])
+    ends = np.r_[starts[1:], last.shape[0]]
+    rank = np.repeat(ends, ends - starts) - np.arange(
+        last.shape[0], dtype=np.int64)
+    final = last[rank <= ways]
+    final_keys = g_keys[final]
+    own = (final_keys >> TAG_SHIFT) == tag
+    sizes = np.minimum(ends - starts, ways)
+    bounds = np.r_[0, np.cumsum(sizes)].tolist()
+    keys_list = final_keys.tolist()
+    own_list = own.tolist()
+    # Own-tag survivors take `value_of`; foreign-tag survivors were
+    # never accessed in the block, so they keep their resident values.
+    for index, a, b in zip(l_sets[starts].tolist(), bounds, bounds[1:]):
+        bucket = buckets[index]
+        items = [
+            (key, value_of(key & KEY_MASK) if mine else bucket[key])
+            for key, mine in zip(keys_list[a:b], own_list[a:b])
+        ]
         bucket.clear()
-        if tag:
-            for key in recent[::-1].tolist():
-                if key >> TAG_SHIFT == tag:
-                    bucket[key] = value_of(key & KEY_MASK)
-                else:
-                    bucket[key] = pre_values[key]
-        else:
-            for key in recent[::-1].tolist():
-                bucket[key] = value_of(key)
+        bucket.update(items)
     return hits

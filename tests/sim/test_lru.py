@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.tlb import SetAssociativeTLB
+from repro.hw.tlb import TAG_SHIFT, FullyAssociativeTLB, SetAssociativeTLB
 from repro.sim.lru import (
     SortedMembership,
     collapse_runs,
     isin_sorted,
     lookup_sorted,
+    simulate_assoc_block,
     simulate_block,
     sorted_arrays,
 )
@@ -96,6 +97,162 @@ class TestSimulateBlock:
     def test_property_random_traces(self, keys, geometry):
         entries, ways = geometry
         run_both(entries, ways, keys, keys)
+
+
+def tagged_value(tag: int, key: int) -> int:
+    """The entry tenant ``tag`` stores under ``key``: distinct per tag,
+    so a foreign survivor re-resolved through the active tenant's
+    ``value_of`` ends up with the wrong value."""
+    return (tag << 40) | (key * 3 + 1)
+
+
+def tenant_value_of(tag: int):
+    return lambda key: tagged_value(tag, key)
+
+
+def prefill(tlbs, tags, rng, universe, count, assoc=False):
+    """Insert ``count`` random keys per tag into every array in ``tlbs``
+    (identically), each holding its owner's ``tagged_value``."""
+    for tag in tags:
+        keys = rng.integers(0, universe, size=count).tolist()
+        for tlb in tlbs:
+            tlb.set_tag(tag)
+            for key in keys:
+                if assoc:
+                    tlb.insert(key, tagged_value(tag, key))
+                else:
+                    tlb.insert(key, key, tagged_value(tag, key))
+
+
+def drive_set_assoc(scalar, batched, tag, keys):
+    """One block under ``tag``: scalar lookup/insert vs the kernel."""
+    value_of = tenant_value_of(tag)
+    scalar.set_tag(tag)
+    batched.set_tag(tag)
+    expected = []
+    for key in keys.tolist():
+        hit = scalar.lookup(key, key) is not None
+        if not hit:
+            scalar.insert(key, key, value_of(key))
+        expected.append(hit)
+    got = simulate_block(batched, keys, keys, value_of)
+    assert got.tolist() == expected
+    assert batched.state() == scalar.state()
+
+
+def drive_assoc(scalar, batched, tag, keys):
+    value_of = tenant_value_of(tag)
+    scalar.set_tag(tag)
+    batched.set_tag(tag)
+    expected = []
+    for key in keys.tolist():
+        hit = scalar.lookup(key) is not None
+        if not hit:
+            scalar.insert(key, value_of(key))
+        expected.append(hit)
+    got = simulate_assoc_block(batched, keys, value_of)
+    assert got.tolist() == expected
+    assert batched.state() == scalar.state()
+
+
+class TestFleetShape:
+    """Scalar vs batched at the tagged fleet's real shape: a full shared
+    1024-entry/8-way L2 holding several tenants, 500-key blocks."""
+
+    def test_full_shared_l2_round_robin(self):
+        rng = np.random.default_rng(500)
+        scalar = SetAssociativeTLB(1024, 8)
+        batched = SetAssociativeTLB(1024, 8)
+        prefill((scalar, batched), (1, 2, 3, 4), rng, 8192, 1024)
+        assert batched.occupancy == 1024
+        for block in range(12):
+            tag = 1 + block % 5              # tag 5 starts cold
+            keys = rng.integers(0, 2048 if block % 2 else 512, size=500)
+            drive_set_assoc(scalar, batched, tag, keys)
+
+    @pytest.mark.parametrize("capacity", [2, 4, 32])
+    def test_page_walk_cache_sizes(self, capacity):
+        rng = np.random.default_rng(capacity)
+        scalar = FullyAssociativeTLB(capacity)
+        batched = FullyAssociativeTLB(capacity)
+        prefill((scalar, batched), (1, 2, 3), rng, 64, capacity, assoc=True)
+        for block in range(9):
+            tag = 1 + block % 4
+            universe = (2, capacity, 4 * capacity, 400)[block % 4]
+            keys = rng.integers(0, universe, size=500)
+            drive_assoc(scalar, batched, tag, keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        active=st.integers(min_value=0, max_value=5),
+        resident=st.lists(st.integers(min_value=1, max_value=5),
+                          max_size=4, unique=True),
+        keys=st.lists(st.integers(min_value=0, max_value=40),
+                      min_size=1, max_size=120),
+        geometry=st.sampled_from([(8, 2), (16, 4), (64, 8), (32, 32)]),
+    )
+    def test_property_tagged_blocks(self, active, resident, keys, geometry):
+        entries, ways = geometry
+        rng = np.random.default_rng(len(keys))
+        scalar = SetAssociativeTLB(entries, ways)
+        batched = SetAssociativeTLB(entries, ways)
+        prefill((scalar, batched), resident, rng, 48, entries)
+        drive_set_assoc(scalar, batched, active,
+                        np.asarray(keys, dtype=np.int64))
+
+
+class Entry:
+    """A value object compared by identity only."""
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+
+
+class TestFinalStateContract:
+    def test_untouched_sets_are_left_alone(self):
+        tlb = SetAssociativeTLB(64, 4)                # 16 sets
+        for key in range(64):
+            tlb.insert(key, key, Entry(key))
+        before = [list(bucket.items()) for bucket in tlb._sets]
+        keys = np.asarray([3, 19, 3, 35, 51, 67, 7, 7, 23], dtype=np.int64)
+        simulate_block(tlb, keys, keys, Entry)
+        touched = {3, 7}
+        for index, bucket in enumerate(tlb._sets):
+            if index in touched:
+                continue
+            after = list(bucket.items())
+            assert [k for k, _ in after] == [k for k, _ in before[index]]
+            assert all(a is b for (_, a), (_, b) in zip(after, before[index]))
+
+    @pytest.mark.parametrize("tag", [0, 2])
+    def test_own_survivors_hold_value_of_result(self, tag):
+        # Like the cluster scheme's builder, value_of makes a fresh
+        # entry per call, so resident own-tag values are replaced; a
+        # foreign survivor keeps its resident object.
+        tlb = SetAssociativeTLB(16, 4)                # 4 sets
+        foreign = Entry(1)
+        tlb.set_tag(5)
+        tlb.insert(1, 1, foreign)
+        tlb.set_tag(tag)
+        resident = {key: Entry(key) for key in (0, 4, 8)}
+        for key, entry in resident.items():
+            tlb.insert(key, key, entry)
+        built = {}
+
+        def value_of(key):
+            built[key] = Entry(key)
+            return built[key]
+
+        keys = np.asarray([0, 4, 12, 1, 0, 5], dtype=np.int64)
+        simulate_block(tlb, keys, keys, value_of)
+        tag_base = tag << TAG_SHIFT
+        for bucket in tlb._sets:
+            for key, value in bucket.items():
+                if key == (5 << TAG_SHIFT) | 1:
+                    assert value is foreign
+                else:
+                    assert value is built[key ^ tag_base]
+        assert set(built) >= {0, 4, 8, 12, 1, 5}
 
 
 class TestHelpers:
