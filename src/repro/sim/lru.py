@@ -493,13 +493,10 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     ends = np.r_[starts[1:], last.shape[0]]
     rank = np.repeat(ends, ends - starts) - np.arange(
         last.shape[0], dtype=np.int64)
-    final = last[rank <= ways]
-    final_keys = g_keys[final]
-    own = (final_keys >> TAG_SHIFT) == tag
-    sizes = np.minimum(ends - starts, ways)
-    bounds = np.r_[0, np.cumsum(sizes)].tolist()
+    final_keys = g_keys[last[rank <= ways]]
+    bounds = np.r_[0, np.cumsum(np.minimum(ends - starts, ways))].tolist()
     keys_list = final_keys.tolist()
-    own_list = own.tolist()
+    own_list = ((final_keys >> TAG_SHIFT) == tag).tolist()
     # Own-tag survivors take `value_of`; foreign-tag survivors were
     # never accessed in the block, so they keep their resident values.
     for index, a, b in zip(l_sets[starts].tolist(), bounds, bounds[1:]):

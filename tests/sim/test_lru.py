@@ -110,47 +110,36 @@ def tenant_value_of(tag: int):
     return lambda key: tagged_value(tag, key)
 
 
-def prefill(tlbs, tags, rng, universe, count, assoc=False):
+def prefill(tlbs, tags, rng, universe, count):
     """Insert ``count`` random keys per tag into every array in ``tlbs``
     (identically), each holding its owner's ``tagged_value``."""
     for tag in tags:
         keys = rng.integers(0, universe, size=count).tolist()
         for tlb in tlbs:
             tlb.set_tag(tag)
+            assoc = isinstance(tlb, FullyAssociativeTLB)
             for key in keys:
-                if assoc:
-                    tlb.insert(key, tagged_value(tag, key))
-                else:
-                    tlb.insert(key, key, tagged_value(tag, key))
+                where = (key,) if assoc else (key, key)
+                tlb.insert(*where, tagged_value(tag, key))
 
 
-def drive_set_assoc(scalar, batched, tag, keys):
+def drive(scalar, batched, tag, keys):
     """One block under ``tag``: scalar lookup/insert vs the kernel."""
     value_of = tenant_value_of(tag)
+    assoc = isinstance(scalar, FullyAssociativeTLB)
     scalar.set_tag(tag)
     batched.set_tag(tag)
     expected = []
     for key in keys.tolist():
-        hit = scalar.lookup(key, key) is not None
+        where = (key,) if assoc else (key, key)
+        hit = scalar.lookup(*where) is not None
         if not hit:
-            scalar.insert(key, key, value_of(key))
+            scalar.insert(*where, value_of(key))
         expected.append(hit)
-    got = simulate_block(batched, keys, keys, value_of)
-    assert got.tolist() == expected
-    assert batched.state() == scalar.state()
-
-
-def drive_assoc(scalar, batched, tag, keys):
-    value_of = tenant_value_of(tag)
-    scalar.set_tag(tag)
-    batched.set_tag(tag)
-    expected = []
-    for key in keys.tolist():
-        hit = scalar.lookup(key) is not None
-        if not hit:
-            scalar.insert(key, value_of(key))
-        expected.append(hit)
-    got = simulate_assoc_block(batched, keys, value_of)
+    if assoc:
+        got = simulate_assoc_block(batched, keys, value_of)
+    else:
+        got = simulate_block(batched, keys, keys, value_of)
     assert got.tolist() == expected
     assert batched.state() == scalar.state()
 
@@ -168,19 +157,19 @@ class TestFleetShape:
         for block in range(12):
             tag = 1 + block % 5              # tag 5 starts cold
             keys = rng.integers(0, 2048 if block % 2 else 512, size=500)
-            drive_set_assoc(scalar, batched, tag, keys)
+            drive(scalar, batched, tag, keys)
 
     @pytest.mark.parametrize("capacity", [2, 4, 32])
     def test_page_walk_cache_sizes(self, capacity):
         rng = np.random.default_rng(capacity)
         scalar = FullyAssociativeTLB(capacity)
         batched = FullyAssociativeTLB(capacity)
-        prefill((scalar, batched), (1, 2, 3), rng, 64, capacity, assoc=True)
+        prefill((scalar, batched), (1, 2, 3), rng, 64, capacity)
         for block in range(9):
             tag = 1 + block % 4
             universe = (2, capacity, 4 * capacity, 400)[block % 4]
             keys = rng.integers(0, universe, size=500)
-            drive_assoc(scalar, batched, tag, keys)
+            drive(scalar, batched, tag, keys)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -197,8 +186,7 @@ class TestFleetShape:
         scalar = SetAssociativeTLB(entries, ways)
         batched = SetAssociativeTLB(entries, ways)
         prefill((scalar, batched), resident, rng, 48, entries)
-        drive_set_assoc(scalar, batched, active,
-                        np.asarray(keys, dtype=np.int64))
+        drive(scalar, batched, active, np.asarray(keys, dtype=np.int64))
 
 
 class Entry:
