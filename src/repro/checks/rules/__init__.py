@@ -9,11 +9,8 @@ and ``description``, implement ``visit_*``/``handle_*`` methods (and
 from repro.checks.rules.clone_contract import CloneContractChecker
 from repro.checks.rules.determinism import DeterminismChecker
 from repro.checks.rules.dtype_hygiene import DtypeHygieneChecker
-from repro.checks.rules.fork_safety import ForkSafetyChecker
 from repro.checks.rules.frozen_mutation import FrozenMutationChecker
 from repro.checks.rules.scheme_contract import SchemeContractChecker
-from repro.checks.rules.shared_aliasing import SharedAliasingChecker
-from repro.checks.rules.tag_safety import TagSafetyChecker
 from repro.checks.rules.tracked_bytecode import tracked_bytecode_findings
 
 #: AST rules, in reporting order.
@@ -22,9 +19,6 @@ ALL_CHECKERS = [
     SchemeContractChecker,
     CloneContractChecker,
     FrozenMutationChecker,
-    ForkSafetyChecker,
-    TagSafetyChecker,
-    SharedAliasingChecker,
     DtypeHygieneChecker,
 ]
 

@@ -116,8 +116,7 @@ def run_checks(
     started = time.perf_counter()
 
     # Parse phase: each file is read and parsed exactly once; every
-    # rule below shares the resulting FileContext trees (and whatever
-    # the dataflow layer derives from them via project.shared).
+    # rule below shares the resulting FileContext trees.
     for path in discover_files(paths):
         try:
             source = path.read_text(encoding="utf-8")

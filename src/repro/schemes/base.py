@@ -275,12 +275,10 @@ class TranslationScheme(abc.ABC):
         attributes without touching the prototype's.
         """
         self._prepare_share()
-        if sanitize.enabled():
-            # Write-guard mode: everything the clone is about to share
-            # by reference becomes read-only, so a mutation the static
-            # shared-aliasing rule mismodels traps at the faulting
-            # store instead of corrupting sibling tenants.
-            sanitize.guard_shared(self)
+        # Every array the clone is about to share by reference becomes
+        # read-only, so an in-place store traps at the faulting line
+        # instead of corrupting sibling tenants.
+        sanitize.guard_shared(self)
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
         clone._new_hardware()

@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.sim.api import SimRequest, execute_request
-from repro.sim.runner import ResultStore, configure_trace_store
+from repro.sim.runner import ResultStore, configure_trace_store, process_pool
 from repro.sim.trace_store import TraceStore
 
 __all__ = ["SimService", "ServiceThread", "serve_main"]
@@ -128,21 +128,13 @@ class SimService:
         if self.cache_dir is not None:
             self.store = ResultStore(self.cache_dir / "results")
             self.trace_store = TraceStore(self.cache_dir / "traces")
-            # The serial path and fork-started workers read through the
-            # parent's configured store; the pool initializer repeats
-            # this for spawn-started platforms.
+            # The serial path reads through the parent's configured
+            # store; the pool initializer repeats this in every worker.
             configure_trace_store(self.trace_store.root)
         if self.workers > 0:
-            initializer = None
-            initargs: tuple = ()
-            if self.trace_store is not None:
-                initializer = configure_trace_store
-                initargs = (str(self.trace_store.root),)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=initializer,
-                initargs=initargs,
-            )
+            store = self.trace_store
+            self._pool = process_pool(
+                self.workers, None if store is None else store.root)
             # Fork every worker now: a trivial round-trip per worker
             # means the first real submission never pays start-up cost.
             loop = asyncio.get_running_loop()
@@ -207,6 +199,14 @@ class SimService:
                     await self._send(
                         writer, {"event": "error", "error": "malformed JSON"}
                     )
+                    continue
+                if not isinstance(message, dict):
+                    self.metrics["errors"] += 1
+                    await self._send(writer, {
+                        "event": "error",
+                        "error": "expected a JSON object, got "
+                                 f"{type(message).__name__}",
+                    })
                     continue
                 op = message.get("op")
                 if op == "submit":

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import time
 from collections import deque
@@ -81,6 +82,7 @@ __all__ = [
     "ResultStore",
     "TraceStore",
     "configure_trace_store",
+    "process_pool",
     "JobFailure",
     "RunSummary",
     "Orchestrator",
@@ -223,6 +225,31 @@ def configure_trace_store(root: str | Path | None) -> TraceStore | None:
     global _WORKER_TRACE_STORE
     _WORKER_TRACE_STORE = None if root is None else TraceStore(root)
     return _WORKER_TRACE_STORE
+
+
+#: The start method of every process pool this package builds, picked
+#: once: fork where the platform has it (cheapest, and job functions
+#: pickle by reference), the platform default elsewhere.
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
+def process_pool(
+    workers: int, trace_root: str | Path | None = None
+) -> ProcessPoolExecutor:
+    """A process pool whose workers read traces from ``trace_root``.
+
+    The one pool constructor behind :class:`Orchestrator`, the
+    simulation service and sharded fleets.  The initializer always runs
+    :func:`configure_trace_store`, so a spawned worker sees the same
+    store as a forked one, and a forked worker of a storeless pool
+    drops whatever store its parent had configured.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=_POOL_CONTEXT,
+        initializer=configure_trace_store,
+        initargs=(None if trace_root is None else str(trace_root),),
+    )
 
 
 def _mapping_for(spec: SimRequest) -> MemoryMapping:
@@ -429,7 +456,6 @@ class Orchestrator:
         retries: int = 1,
         job_fn: Callable[[SimRequest], dict] = execute_request,
         progress: ProgressFn | None = None,
-        mp_context=None,
     ) -> None:
         if workers < 0:
             raise OrchestrationError("workers must be >= 0")
@@ -446,15 +472,6 @@ class Orchestrator:
         self.retries = retries
         self.job_fn = job_fn
         self.progress = progress
-        if mp_context is None and workers > 0:
-            # fork keeps job functions picklable by reference and is the
-            # cheapest start method; fall back to the platform default
-            # where it does not exist (Windows).
-            import multiprocessing
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                mp_context = multiprocessing.get_context("fork")
-        self._mp_context = mp_context
 
     # ------------------------------------------------------------------
 
@@ -633,18 +650,9 @@ class Orchestrator:
     # ------------------------------------------------------------------
 
     def _new_executor(self) -> ProcessPoolExecutor:
-        # The initializer repoints spawned workers at the shared trace
-        # store (fork-started workers inherit the parent's setting, but
-        # the explicit initializer keeps spawn/forkserver correct too).
-        initializer = None
-        initargs: tuple = ()
-        if self.trace_store is not None:
-            initializer = configure_trace_store
-            initargs = (str(self.trace_store.root),)
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._mp_context,
-            initializer=initializer, initargs=initargs,
-        )
+        store = self.trace_store
+        return process_pool(
+            self.workers, None if store is None else store.root)
 
     @staticmethod
     def _kill_executor(executor: ProcessPoolExecutor) -> None:

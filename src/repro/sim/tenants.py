@@ -1145,14 +1145,11 @@ def simulate_fleet(
             result_store.put(keys[shard], outcome.to_dict())
 
     if workers > 0 and len(pending) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import as_completed
 
-        context = multiprocessing.get_context("fork")
-        pool_size = min(workers, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=context
-        ) as pool:
+        from repro.sim.runner import process_pool
+
+        with process_pool(min(workers, len(pending)), trace_root) as pool:
             futures = {
                 pool.submit(_run_shard, task): task.shard for task in pending
             }

@@ -112,11 +112,10 @@ class FrozenMapping:
             self.run_vpn = self.vpns
             self.run_pfn = self.pfns
             self.run_pages = self.vpns
-        if sanitize.enabled():
-            # Write-guard mode: the snapshot is complete, seal every
-            # column so a stray in-place store traps at the faulting
-            # line instead of corrupting all sharers of this view.
-            sanitize.seal_mapping_columns(self)
+        # The snapshot is complete: seal every column so a stray
+        # in-place store traps at the faulting line instead of
+        # corrupting all sharers of this view.
+        sanitize.seal_mapping_columns(self)
 
     def __len__(self) -> int:
         return self.vpns.shape[0]

@@ -114,9 +114,8 @@ class TestSarifOutput:
         driver = run["tool"]["driver"]
         assert driver["name"] == "anchor-tlb-check"
         rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"determinism", "fork-safety", "tag-safety",
-                "shared-aliasing", "tracked-bytecode",
-                "parse-error"} <= rule_ids
+        assert {"determinism", "clone-contract", "frozen-mutation",
+                "tracked-bytecode", "parse-error"} <= rule_ids
         assert len(run["results"]) == len(result.findings)
 
     def test_results_carry_fingerprints_and_locations(self, sarif):

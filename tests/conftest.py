@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -22,19 +20,6 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         help="regenerate the checked-in golden stats corpus under "
              "tests/golden/ instead of comparing against it",
     )
-    parser.addoption(
-        "--sanitize", action="store_true", default=False,
-        help="enable the runtime write guards (repro.sanitize): "
-             "FrozenMapping columns and prototype-shared arrays become "
-             "read-only at share time, so aliasing bugs crash loudly",
-    )
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    if config.getoption("--sanitize"):
-        # The env var (not a global) carries the switch so pool workers
-        # forked/spawned by the orchestrator inherit the guard mode.
-        os.environ["ANCHOR_TLB_SANITIZE"] = "1"
 
 
 @pytest.fixture(scope="session")

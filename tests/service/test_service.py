@@ -8,6 +8,8 @@ same code path as ``anchor-tlb serve`` / ``anchor-tlb submit``.
 from __future__ import annotations
 
 import concurrent.futures
+import json
+import socket
 import time
 
 import pytest
@@ -182,6 +184,24 @@ class TestFailureHandling:
         assert "no-such-workload" in envelopes[-1]["error"]
         assert metrics["errors"] == 1
 
+    @pytest.mark.parametrize("line", [b"[1]", b'"x"', b"3"])
+    def test_non_object_line_keeps_connection_open(self, line):
+        """Valid JSON that is not an object gets an error envelope and
+        counts as an error; the same connection still answers status."""
+        with ServiceThread() as service_thread:
+            with socket.create_connection(
+                    (service_thread.host, service_thread.port),
+                    timeout=30) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(line + b"\n" + b'{"op": "status"}\n')
+                stream.flush()
+                error = json.loads(stream.readline())
+                reply = json.loads(stream.readline())
+        assert error["event"] == "error"
+        assert "JSON object" in error["error"]
+        assert reply["event"] == "status"
+        assert reply["metrics"]["errors"] == 1
+
     def test_error_does_not_poison_cache(self):
         bad = request_of(workload="no-such-workload")
         good = request_of()
@@ -251,8 +271,6 @@ class TestCliEntryPoints:
         assert excinfo.value.code == 0
 
     def test_submit_main_against_live_service(self, capsys):
-        import json
-
         from repro.service.client import submit_main
 
         with ServiceThread() as service_thread:

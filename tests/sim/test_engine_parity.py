@@ -73,6 +73,23 @@ def hw_state(scheme):
     return state
 
 
+def tagged_outputs(build, tiny_machine):
+    """Counters, epoch stats and hardware state of ``build(mapping,
+    machine)`` run under ASID 5 by each engine, keyed by engine."""
+    machine = dataclasses.replace(tiny_machine, pwc=True)
+    mapping = build_mapping(parity_vmas(), "demand", seed=61)
+    trace = mapped_trace(mapping, 6000, seed=67)
+    outputs = {}
+    for engine in ("scalar", "batched"):
+        scheme = build(mapping, machine)
+        scheme.set_asid(5)
+        result = run_trace(scheme, trace, epoch_references=2500,
+                          engine=engine)
+        outputs[engine] = (
+            scheme.stats.snapshot(), result.epoch_stats, hw_state(scheme))
+    return outputs
+
+
 def run_engine(scheme_name, mapping, trace, machine, engine, epoch):
     scheme = make_scheme(scheme_name, mapping, machine)
     result = run_trace(scheme, trace, epoch_references=epoch, engine=engine)
@@ -207,18 +224,29 @@ class TestGoldenParity:
         """Tag-safe schemes under a nonzero ASID: the batched engine
         must pack the tag into every structure exactly as the scalar
         path does — counters and per-set (tagged) LRU state match."""
-        machine = dataclasses.replace(tiny_machine, pwc=True)
-        mapping = build_mapping(parity_vmas(), "demand", seed=61)
-        trace = mapped_trace(mapping, 6000, seed=67)
-        outputs = {}
-        for engine in ("scalar", "batched"):
-            scheme = make_scheme(scheme_name, mapping, machine)
-            scheme.set_asid(5)
-            result = run_trace(scheme, trace, epoch_references=2500,
-                              engine=engine)
-            outputs[engine] = (
-                scheme.stats.snapshot(), result.epoch_stats, hw_state(scheme))
+        outputs = tagged_outputs(
+            lambda mapping, machine: make_scheme(scheme_name, mapping, machine),
+            tiny_machine)
         assert outputs["batched"] == outputs["scalar"]
+
+    def test_tagged_parity_catches_an_untagged_key(self, tiny_machine):
+        """A block path that fills the L2 under a raw key, ignoring the
+        ASID, diverges from the scalar path under tagged parity."""
+        from repro.schemes.baseline import BaselineScheme
+
+        class RawKeyScheme(BaselineScheme):
+            tag_safe_block = True
+
+            def access_block(self, vpns):
+                for vpn in vpns.tolist():
+                    self.access(vpn)
+                    self._fill_raw(vpn)
+
+            def _fill_raw(self, vpn):
+                self.l2._sets[vpn & self.l2.index_mask][vpn] = self._small[vpn]
+
+        outputs = tagged_outputs(RawKeyScheme, tiny_machine)
+        assert outputs["batched"] != outputs["scalar"]
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -73,12 +73,14 @@ class TestSimulateBlock:
         keys = rng.integers(0, 64, size=400)
         run_both(16, 2, keys >> 2, keys)
 
-    def test_run_heavy_trace_hits_step_cap(self):
-        # One hot key pounded between two occurrences of a cold key:
-        # the back-walk exceeds its step cap and must escape to the
-        # exact windowed count.
+    def test_long_reuse_span_reaches_straggler_scan(self):
+        # Two hot keys pounded between two occurrences of a cold key.
+        # More than ``ways`` distinct keys keep the no-eviction shortcut
+        # off, and the cold key's 40k-position reuse span outlasts the
+        # widest resolver window (32,768), so its outcome comes from
+        # the exact per-straggler scan.
         ways = 4
-        keys = [99] + [1, 2] * (40 * ways) + [99]
+        keys = [5, 6, 7, 8, 99] + [1, 2] * 20_000 + [99]
         run_both(8, ways, [0] * len(keys), keys)
 
     def test_empty_block(self):

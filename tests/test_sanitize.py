@@ -1,9 +1,9 @@
-"""The opt-in runtime write-guard (``ANCHOR_TLB_SANITIZE=1``).
+"""The always-on write guards (``repro.sanitize``).
 
-The static rules model which state is shared read-only by contract;
-this suite proves the sanitizer turns that model into an actual trap —
-and that every registered scheme still clones and runs cleanly with
-the guards armed (the same property the sanitized CI job gates).
+``FrozenMapping`` columns and every array a prototype scheme shares
+with its clones are read-only on every run; this suite proves the
+guards trap in-place writes, never walk dicts, and that every
+registered scheme still clones and runs cleanly with them armed.
 """
 
 import numpy as np
@@ -16,41 +16,31 @@ from repro.vmos.scenarios import build_mapping
 from repro.vmos.vma import AllocationSite, layout_vmas
 
 
-@pytest.fixture()
-def guards_on(monkeypatch):
-    monkeypatch.setenv(sanitize.ENV_VAR, "1")
-
-
 @pytest.fixture(scope="module")
 def mapping_args():
     vmas = layout_vmas([AllocationSite(256, 1), AllocationSite(32, 2)])
     return vmas
 
 
-class TestSwitch:
-    def test_disabled_by_default_values(self, monkeypatch):
-        monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
-        assert not sanitize.enabled()
-        monkeypatch.setenv(sanitize.ENV_VAR, "")
-        assert not sanitize.enabled()
-        monkeypatch.setenv(sanitize.ENV_VAR, "0")
-        assert not sanitize.enabled()
+class Untouchable(dict):
+    """A dict attribute whose iteration raises: the guards must never
+    walk into it."""
 
-    def test_any_other_value_enables(self, monkeypatch):
-        monkeypatch.setenv(sanitize.ENV_VAR, "1")
-        assert sanitize.enabled()
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the write guard iterated a dict")
+
+    __iter__ = items = values = keys = _refuse
 
 
 class TestFreezeRelease:
     def test_chases_arrays_through_containers(self):
-        a, b, c = (np.zeros(4), np.zeros(4), np.zeros(4))
-        nest = {"pair": (a, [b]), "solo": c, "other": "not-an-array"}
+        a, b, c, d = (np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4))
+        nest = [(a, [b]), c, "not-an-array", {"skipped": d}]
         assert sanitize.freeze_arrays(nest) == 3
         for arr in (a, b, c):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
-        assert sanitize.release_arrays(nest) == 3
-        a[0] = 1  # writable again
+        d[0] = 1  # arrays under a dict are never reached
 
     def test_views_are_skipped(self):
         base = np.zeros(8)
@@ -61,17 +51,15 @@ class TestFreezeRelease:
         # protocol freezes before clones materialise their views).
         with pytest.raises(ValueError, match="read-only"):
             base[4:8][0] = 1
-        assert sanitize.release_arrays(base) == 1
 
     def test_freeze_is_idempotent(self):
         arr = np.zeros(4)
         assert sanitize.freeze_arrays(arr) == 1
         assert sanitize.freeze_arrays(arr) == 0
-        assert sanitize.release_arrays(arr) == 1
 
 
 class TestFrozenMappingSeal:
-    def test_columns_trap_writes_under_guard(self, guards_on, mapping_args):
+    def test_columns_trap_writes_under_guard(self, mapping_args):
         mapping = build_mapping(mapping_args, "medium", seed=11)
         frozen = mapping.frozen()
         with pytest.raises(ValueError, match="read-only"):
@@ -79,19 +67,18 @@ class TestFrozenMappingSeal:
         with pytest.raises(ValueError, match="read-only"):
             frozen.pfns[-1] = 99
 
-    def test_columns_stay_writable_without_guard(self, monkeypatch,
-                                                 mapping_args):
-        monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+    def test_seal_skips_the_live_page_table(self, mapping_args):
         mapping = build_mapping(mapping_args, "medium", seed=11)
         frozen = mapping.frozen()
-        assert frozen.vpns.flags.writeable
+        frozen.page_table = Untouchable(frozen.page_table)
+        assert sanitize.seal_mapping_columns(frozen) == 0  # already sealed
 
 
 class TestCloneGuard:
     @pytest.mark.parametrize(
         "scheme_name", scheme_names(include_extras=True))
-    def test_all_schemes_clone_and_run_guarded(self, guards_on,
-                                               mapping_args, scheme_name):
+    def test_all_schemes_clone_and_run_guarded(self, mapping_args,
+                                               scheme_name):
         mapping = build_mapping(mapping_args, "medium", seed=5)
         proto = make_scheme(scheme_name, mapping, DEFAULT_MACHINE)
         clone = proto.clone_fresh()
@@ -103,8 +90,7 @@ class TestCloneGuard:
             clone.access(int(vpn))
         clone.stats.check_conservation()
 
-    def test_guard_freezes_shared_not_per_clone(self, guards_on,
-                                                mapping_args):
+    def test_guard_freezes_shared_not_per_clone(self, mapping_args):
         mapping = build_mapping(mapping_args, "medium", seed=5)
         proto = make_scheme("anchor-dyn", mapping, DEFAULT_MACHINE)
         proto.clone_fresh()
@@ -117,3 +103,16 @@ class TestCloneGuard:
         ]
         assert shared_arrays
         assert all(not arr.flags.writeable for arr in shared_arrays)
+
+    @pytest.mark.parametrize(
+        "scheme_name", scheme_names(include_extras=True))
+    def test_guard_never_iterates_a_dict_attribute(self, mapping_args,
+                                                   scheme_name):
+        mapping = build_mapping(mapping_args, "medium", seed=5)
+        proto = make_scheme(scheme_name, mapping, DEFAULT_MACHINE)
+        column = np.zeros(4)
+        proto.untouchable = Untouchable(column=column)
+        proto.clone_fresh().access_block(
+            np.asarray(sorted(vpn for vpn, _ in mapping.items())[:32],
+                       dtype=np.int64))
+        column[0] = 1  # under a dict, so never sealed
