@@ -1,13 +1,14 @@
 """Repo-specific static analysis for the simulator.
 
-The simulator's correctness rests on conventions that nothing at
-runtime enforces: all randomness flows through :mod:`repro.util.rng`
-so replays are bit-identical, every scheme honours the
-``sync_mapping()``/``_on_mapping_update`` contract, compiled
-:class:`~repro.vmos.mapping.FrozenMapping` views are never mutated,
-and hot paths keep explicit numpy dtypes.  This package checks those
-conventions statically, on the AST, so a violation fails CI instead of
-surfacing as a subtly wrong experiment three PRs later.
+The simulator's correctness rests on conventions that no runtime test
+can see: all randomness flows through :mod:`repro.util.rng` so replays
+are bit-identical, compiled
+:class:`~repro.vmos.mapping.FrozenMapping` columns are never rebound
+or made writable, and hot paths keep explicit numpy dtypes.  This
+package checks those conventions statically, on the AST, so a
+violation fails CI instead of surfacing as a subtly wrong experiment
+later.  (The scheme, clone and tag contracts are enforced by runtime
+suites under ``tests/schemes`` and ``tests/sim`` instead.)
 
 Entry points:
 

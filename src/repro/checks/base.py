@@ -1,17 +1,9 @@
 """Checker framework: file/project contexts and the visitor base.
 
-A rule is a :class:`Checker` subclass.  The runner instantiates one
-checker per (rule, file) pair and drives two phases over the whole
-file set:
-
-1. **collect** — every checker sees its file and may stash cross-file
-   facts in :attr:`ProjectContext.shared` (e.g. which scheme classes
-   the registry builds);
-2. **check** — every checker walks its AST and reports findings,
-   reading whatever the collect phase gathered.
-
-Rules therefore get whole-project knowledge (class hierarchies,
-registered schemes) while staying simple single-file visitors.
+A rule is a :class:`Checker` subclass.  The runner parses every file
+once, then instantiates one checker per (rule, file) pair and calls
+its :meth:`~Checker.check`, which walks that file's AST and reports
+findings.  Rules are single-file visitors.
 """
 
 from __future__ import annotations
@@ -19,7 +11,6 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Any
 
 from repro.checks.findings import Finding
 
@@ -38,8 +29,6 @@ class ProjectContext:
     def __init__(self, root: Path) -> None:
         self.root = root
         self.files: list[FileContext] = []
-        #: Cross-file facts, keyed by rule id (each rule owns its slot).
-        self.shared: dict[str, Any] = {}
 
 
 class FileContext:
@@ -143,10 +132,8 @@ class Checker(ast.NodeVisitor):
 
     Subclasses set :attr:`rule` (the id used in findings, suppressions
     and ``--rules``) and :attr:`description`, then implement ordinary
-    ``visit_*`` methods — except for classes and functions, where the
-    base owns the visit to maintain :attr:`class_stack` /
-    :attr:`func_stack` and dispatches to :meth:`handle_class` /
-    :meth:`handle_function` instead.
+    ``visit_*`` methods.  The base owns ``visit_ClassDef`` to maintain
+    :attr:`class_stack` (read through :attr:`current_class`).
     """
 
     rule: str = "abstract"
@@ -157,12 +144,6 @@ class Checker(ast.NodeVisitor):
         self.project = project
         self.findings: list[Finding] = []
         self.class_stack: list[ast.ClassDef] = []
-        self.func_stack: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
-
-    # -- phases ---------------------------------------------------------
-
-    def collect(self) -> None:
-        """Optional pre-pass: stash cross-file facts in project.shared."""
 
     def check(self) -> None:
         self.visit(self.ctx.tree)
@@ -188,31 +169,7 @@ class Checker(ast.NodeVisitor):
     def current_class(self) -> ast.ClassDef | None:
         return self.class_stack[-1] if self.class_stack else None
 
-    @property
-    def current_function(self) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        return self.func_stack[-1] if self.func_stack else None
-
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self.class_stack.append(node)
-        self.handle_class(node)
         self.generic_visit(node)
         self.class_stack.pop()
-
-    def _visit_function(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        self.func_stack.append(node)
-        self.handle_function(node)
-        self.generic_visit(node)
-        self.func_stack.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def handle_class(self, node: ast.ClassDef) -> None:
-        """Hook: called on entry to a class, before its children."""
-
-    def handle_function(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        """Hook: called on entry to a function, before its children."""

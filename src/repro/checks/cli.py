@@ -33,8 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="anchor-tlb check",
         description="AST-based contract linter for the simulator "
-                    "(determinism, scheme contracts, frozen views, "
-                    "dtype hygiene, repo hygiene)",
+                    "(determinism, frozen views, dtype hygiene)",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -71,10 +70,6 @@ def main(argv: list[str] | None = None) -> int:
              "to stderr",
     )
     parser.add_argument(
-        "--no-repo-checks", action="store_true",
-        help="skip the git-based repo hygiene checks (tracked bytecode)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule ids and descriptions, then exit",
     )
@@ -83,8 +78,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_rules:
         for checker in ALL_CHECKERS:
             print(f"{checker.rule:<18} {checker.description}")
-        print(f"{'tracked-bytecode':<18} compiled bytecode tracked by git "
-              "(repo-level check)")
         return 0
 
     baseline_path = args.baseline or Path(DEFAULT_BASELINE)
@@ -97,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
             args.paths or _default_paths(),
             rules=rules,
             baseline_path=None if args.write_baseline else baseline_path,
-            repo_checks=not args.no_repo_checks,
         )
     except (BaselineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,10 +7,10 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.checks.base import Checker, FileContext, ProjectContext
+from repro.checks.base import FileContext, ProjectContext
 from repro.checks.baseline import load_baseline, split_by_baseline
 from repro.checks.findings import Finding
-from repro.checks.rules import ALL_CHECKERS, tracked_bytecode_findings
+from repro.checks.rules import ALL_CHECKERS
 
 #: JSON output format version (consumers: the CI artifact, tests).
 OUTPUT_FORMAT = 1
@@ -91,22 +91,19 @@ def run_checks(
     root: Path | None = None,
     rules: list[str] | None = None,
     baseline_path: Path | None = None,
-    repo_checks: bool = True,
 ) -> CheckResult:
     """Run the suite over ``paths`` and return the structured result.
 
     ``rules`` limits the run to those rule ids (default: all).
     ``baseline_path`` masks known findings; missing file = empty
-    baseline.  ``repo_checks`` additionally runs the non-AST repo
-    hygiene checks (tracked bytecode) against ``root``.
+    baseline.
     """
     root = (root or Path.cwd()).resolve()
     checker_classes = [
         c for c in ALL_CHECKERS if rules is None or c.rule in rules
     ]
-    known = {c.rule for c in ALL_CHECKERS} | {"tracked-bytecode"}
     if rules is not None:
-        unknown = set(rules) - known
+        unknown = set(rules) - {c.rule for c in ALL_CHECKERS}
         if unknown:
             raise ValueError(f"unknown rule(s): {', '.join(sorted(unknown))}")
 
@@ -137,25 +134,15 @@ def run_checks(
         project.files.append(ctx)
     timings["parse"] = time.perf_counter() - started
 
-    # Rule phases: per rule, collect cross-file facts over every file,
-    # then check every file.  Rules are independent (each owns its
-    # project.shared slot), so per-rule grouping preserves the
-    # collect-before-check contract while giving honest per-rule
-    # wall-clock.
+    # Rule phases, one rule at a time over every file, so each rule
+    # gets honest per-rule wall-clock.
     for cls in checker_classes:
         rule_started = time.perf_counter()
-        checkers: list[Checker] = [
-            cls(ctx, project) for ctx in project.files
-        ]
-        for checker in checkers:
-            checker.collect()
-        for checker in checkers:
+        for ctx in project.files:
+            checker = cls(ctx, project)
             checker.check()
             findings.extend(checker.findings)
         timings[cls.rule] = time.perf_counter() - rule_started
-
-    if repo_checks and (rules is None or "tracked-bytecode" in rules):
-        findings.extend(tracked_bytecode_findings(root))
 
     findings.sort()
     baseline = load_baseline(baseline_path) if baseline_path else set()

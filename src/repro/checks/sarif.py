@@ -37,13 +37,6 @@ def to_sarif(result: "CheckResult") -> dict:
         for checker in ALL_CHECKERS
     ]
     rules.append({
-        "id": "tracked-bytecode",
-        "shortDescription": {
-            "text": "compiled bytecode tracked by git (repo-level check)"
-        },
-        "defaultConfiguration": {"level": "error"},
-    })
-    rules.append({
         "id": "parse-error",
         "shortDescription": {
             "text": "file could not be parsed for analysis"

@@ -17,10 +17,6 @@ class PageFaultError(MappingError):
     """Translation requested for an unmapped virtual page."""
 
 
-class ConfigurationError(ReproError):
-    """An invalid hardware or experiment configuration."""
-
-
 class TraceFormatError(ReproError):
     """A persisted trace file exists but does not parse as one
     (truncated write, wrong members, garbage bytes)."""

@@ -8,7 +8,6 @@ anchor entries (A.hit), and page walks (L2 miss).
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentConfig, MatrixRunner
-from repro.experiments.paper_data import PAPER_TABLE5
 from repro.experiments.report import Report
 from repro.sim.workloads import WORKLOAD_ORDER
 
@@ -45,8 +44,3 @@ def run(
         "gups 27/20/53; (medium): milc 3/92/5, gups 11/1/88"
     )
     return report
-
-
-def paper_row(workload: str, scenario: str) -> tuple[int, int, int]:
-    """The paper's Table 5 numbers for one cell."""
-    return PAPER_TABLE5[workload][scenario]

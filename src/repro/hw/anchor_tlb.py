@@ -121,9 +121,6 @@ class AnchorL2TLB:
     def invalidate_small(self, vpn: int) -> bool:
         return self.array.invalidate(vpn, (vpn << 2) | KIND_SMALL)
 
-    def invalidate_huge(self, hvpn: int) -> bool:
-        return self.array.invalidate(hvpn, (hvpn << 2) | KIND_HUGE)
-
     def invalidate_anchor(self, avpn: int) -> bool:
         index = avpn >> self._dlog
         return self.array.invalidate(index, (avpn << 2) | KIND_ANCHOR)

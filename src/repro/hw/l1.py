@@ -34,9 +34,6 @@ class L1TLB:
     def fill_huge(self, hvpn: int, base_pfn: int) -> None:
         self.huge.insert(hvpn, hvpn, base_pfn)
 
-    def lookup_giga(self, gvpn: int) -> object | None:
-        return self.giga.lookup(gvpn, gvpn)
-
     def fill_giga(self, gvpn: int, base_pfn: int) -> None:
         self.giga.insert(gvpn, gvpn, base_pfn)
 

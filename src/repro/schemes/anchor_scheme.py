@@ -56,10 +56,6 @@ class AnchorScheme(TranslationScheme):
 
     name = "anchor"
     supports_reselection = True
-    #: The L1 passes resolve through :func:`simulate_block` and the
-    #: exact L2 replay below ORs the array's tag base into every raw
-    #: key it builds, so the fast path is correct under ASID tagging.
-    tag_safe_block = True
     hardware = {
         **TranslationScheme.hardware,
         # Anchor entries live in the unmodified L2 (§3.2).  Tagged
@@ -106,7 +102,7 @@ class AnchorScheme(TranslationScheme):
         self._dir_shared = False
 
     # ------------------------------------------------------------------
-    # Prototype cloning (clone-contract)
+    # Prototype cloning
     # ------------------------------------------------------------------
 
     def _prepare_share(self) -> None:

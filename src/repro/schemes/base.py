@@ -96,11 +96,10 @@ class TranslationScheme(abc.ABC):
     #: carry a nonzero address-space tag (multi-tenant sharing).  The
     #: scalar loop below is tag-safe by construction — every state touch
     #: goes through the arrays' ``lookup``/``insert``, which pack the
-    #: tag themselves — but a vectorised override that writes raw keys
-    #: into the arrays' buckets must pack the tag explicitly and declare
-    #: its verdict here.  Every class that overrides ``access_block``
-    #: must re-declare this attribute in its own body (enforced by the
-    #: ``scheme-contract`` check rule).
+    #: tag themselves — and so is a vectorised override that packs the
+    #: tag into every raw key it writes.  A scheme whose fast path keeps
+    #: raw keys sets this to False and cannot join a tagged fleet;
+    #: ``test_tagged_parity`` holds every tag-safe scheme to its claim.
     tag_safe_block: bool = True
 
     #: Every TLB structure the scheme owns, by attribute name.  The
@@ -266,8 +265,9 @@ class TranslationScheme(abc.ABC):
         materialised; :meth:`_reset_clone` runs on the *clone* and
         recreates the per-tenant state that is not hardware (counters,
         resident-state caches).  Anything not rebuilt is shared and
-        must be treated as read-only — the ``clone-contract`` check
-        rule enforces the share-don't-rebuild discipline.
+        must be treated as read-only, and ``_reset_clone`` must never
+        re-derive mapping state (``tests/schemes/test_clone_fresh.py``
+        counts the builders a second clone calls: none).
 
         Sharing survives mapping mutations: ``_synced_version`` rides
         the copy, so a mutated mapping triggers ``_on_mapping_update``

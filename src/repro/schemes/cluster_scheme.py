@@ -50,12 +50,6 @@ class ClusterScheme(TranslationScheme):
     """Partitioned regular + cluster-8 L2 (optionally with 2 MiB pages)."""
 
     name = "cluster"
-    #: The block fast path packs the arrays' address-space tag into
-    #: every key it writes (the regular side through
-    #: :func:`simulate_block`, the clustered side explicitly in the
-    #: contaminated-set replay), so the partitioned L2 can be shared
-    #: between tagged tenants.
-    tag_safe_block = True
     hardware = {
         **TranslationScheme.hardware,
         # The statically partitioned L2: a regular side and a

@@ -28,11 +28,6 @@ class ColtScheme(TranslationScheme):
     """Unified L2 of coalesced (up to 8-page) entries."""
 
     name = "colt"
-    #: The block fast path mutates its arrays only through
-    #: :func:`simulate_block` (which packs the address-space tag
-    #: itself) and packs the tag into its pre-block snapshot lookups,
-    #: so the unified L2 can be shared between tagged tenants.
-    tag_safe_block = True
     hardware = {**TranslationScheme.hardware, "l2": L2_ARRAY}
 
     def __init__(

@@ -66,10 +66,6 @@ class PrefetchScheme(TranslationScheme):
     """4 KiB baseline + distance prefetching into the L2."""
 
     name = "prefetch"
-    #: The block fast path packs the L2's tag register into every raw
-    #: bucket key it writes (the predictor and the prefetched-VPN set
-    #: are per-tenant already), so tagged tenants may share the L2.
-    tag_safe_block = True
     hardware = {
         **TranslationScheme.hardware,
         "l2": L2_ARRAY,

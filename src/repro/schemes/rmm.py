@@ -36,10 +36,6 @@ class RMMScheme(TranslationScheme):
     """Baseline L2 (with THP) + 32-entry range TLB."""
 
     name = "rmm"
-    #: The block fast path packs the arrays' tag registers into every
-    #: raw bucket/range key it writes, so tagged tenants may share the
-    #: L2 and the range TLB without aliasing address spaces.
-    tag_safe_block = True
     hardware = {
         **TranslationScheme.hardware,
         "l2": L2_ARRAY,

@@ -44,9 +44,6 @@ class THPScheme(TranslationScheme):
     """
 
     name = "thp"
-    #: All four arrays resolve through :func:`simulate_block`, which
-    #: packs the array tag itself — the fast path is tag-aware as-is.
-    tag_safe_block = True
     hardware = {
         **TranslationScheme.hardware,
         "l2": L2_ARRAY,

@@ -51,11 +51,17 @@ import json
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any
 
 from repro.sim.api import SimRequest, execute_request
-from repro.sim.runner import ResultStore, configure_trace_store, process_pool
+from repro.sim.runner import (
+    ResultStore,
+    configure_trace_store,
+    kill_pool,
+    process_pool,
+)
 from repro.sim.trace_store import TraceStore
 
 __all__ = ["SimService", "ServiceThread", "serve_main"]
@@ -71,6 +77,8 @@ class SimService:
     * ``workers>0`` keeps a warm ``ProcessPoolExecutor``: workers are
       forked (and the trace store wired in) at :meth:`start`, so
       submission latency never pays process start-up or import cost.
+      If a worker dies, the pool is rebuilt once and the request that
+      saw it break is retried (``pool_restarts`` in the metrics).
     * ``cache_dir`` persists results under ``<cache_dir>/results`` and
       shared traces under ``<cache_dir>/traces``; without it, results
       dedup through an in-memory cache for the service's lifetime.
@@ -107,6 +115,7 @@ class SimService:
             "joined_inflight": 0,
             "rejected": 0,
             "errors": 0,
+            "pool_restarts": 0,
         }
 
         self._memory_cache: dict[str, dict] = {}
@@ -132,9 +141,7 @@ class SimService:
             # store; the pool initializer repeats this in every worker.
             configure_trace_store(self.trace_store.root)
         if self.workers > 0:
-            store = self.trace_store
-            self._pool = process_pool(
-                self.workers, None if store is None else store.root)
+            self._pool = self._new_pool()
             # Fork every worker now: a trivial round-trip per worker
             # means the first real submission never pays start-up cost.
             loop = asyncio.get_running_loop()
@@ -148,6 +155,22 @@ class SimService:
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        store = self.trace_store
+        return process_pool(self.workers, None if store is None else store.root)
+
+    def _replace_broken_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap a pool with a dead worker for a fresh one.
+
+        Only the first request that sees ``broken`` fail does the swap;
+        concurrent failures of the same pool find it already replaced.
+        """
+        if broken is not self._pool:
+            return
+        kill_pool(broken)
+        self._pool = self._new_pool()
+        self.metrics["pool_restarts"] += 1
 
     async def wait_drained(self) -> None:
         """Block until a ``drain`` completed, then release resources."""
@@ -196,6 +219,7 @@ class SimService:
                 try:
                     message = json.loads(raw.decode("utf-8"))
                 except ValueError:
+                    self.metrics["errors"] += 1
                     await self._send(
                         writer, {"event": "error", "error": "malformed JSON"}
                     )
@@ -226,6 +250,7 @@ class SimService:
                         "metrics": dict(self.metrics),
                     })
                 else:
+                    self.metrics["errors"] += 1
                     await self._send(
                         writer,
                         {"event": "error", "error": f"unknown op {op!r}"},
@@ -303,11 +328,17 @@ class SimService:
             # its shard pool forks directly rather than nesting inside a
             # single pool slot.
             return await asyncio.to_thread(execute_request, request)
-        if self._pool is not None:
+        if self._pool is None:
+            return await asyncio.to_thread(execute_request, request)
+        pool = self._pool
+        try:
+            return await loop.run_in_executor(pool, execute_request, request)
+        except BrokenProcessPool:
+            # A worker died (OOM kill, signal): every later submission
+            # to this pool would fail too.  Rebuild and retry once.
+            self._replace_broken_pool(pool)
             return await loop.run_in_executor(
-                self._pool, execute_request, request
-            )
-        return await asyncio.to_thread(execute_request, request)
+                self._pool, execute_request, request)
 
     async def _handle_submit(
         self, message: dict, writer: asyncio.StreamWriter

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import OrchestrationError

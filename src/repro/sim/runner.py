@@ -51,7 +51,6 @@ import numpy as np
 from repro.errors import CellFailedError, OrchestrationError
 from repro.sim.api import (
     CACHE_FORMAT,
-    DISTANCE_SELECT,
     STATIC_IDEAL,
     SimReply,
     SimRequest,
@@ -67,8 +66,6 @@ from repro.sim.trace import Trace
 from repro.sim.trace_store import TraceStore
 from repro.sim.workloads import get_workload
 from repro.util.proc import peak_rss_bytes
-from repro.vmos.contiguity import contiguity_histogram
-from repro.vmos.distance import select_distance
 from repro.vmos.mapping import MemoryMapping
 from repro.vmos.scenarios import build_mapping
 
@@ -83,6 +80,7 @@ __all__ = [
     "TraceStore",
     "configure_trace_store",
     "process_pool",
+    "kill_pool",
     "JobFailure",
     "RunSummary",
     "Orchestrator",
@@ -250,6 +248,17 @@ def process_pool(
         initializer=configure_trace_store,
         initargs=(None if trace_root is None else str(trace_root),),
     )
+
+
+def kill_pool(executor: ProcessPoolExecutor) -> None:
+    """Tear a pool down without waiting on hung or dead workers."""
+    processes = dict(getattr(executor, "_processes", None) or {})
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes.values():
+        try:
+            process.terminate()
+        except Exception:  # noqa: BLE001 — already-dead workers
+            pass
 
 
 def _mapping_for(spec: SimRequest) -> MemoryMapping:
@@ -654,17 +663,6 @@ class Orchestrator:
         return process_pool(
             self.workers, None if store is None else store.root)
 
-    @staticmethod
-    def _kill_executor(executor: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on hung or dead workers."""
-        processes = dict(getattr(executor, "_processes", None) or {})
-        executor.shutdown(wait=False, cancel_futures=True)
-        for process in processes.values():
-            try:
-                process.terminate()
-            except Exception:  # noqa: BLE001 — already-dead workers
-                pass
-
     def _run_pool(
         self,
         pending: list[SimRequest],
@@ -747,7 +745,7 @@ class Orchestrator:
                             f"timed out after {self.timeout:.1f}s",
                             summary, requeue,
                         )
-                    self._kill_executor(executor)
+                    kill_pool(executor)
                     executor = self._new_executor()
         finally:
-            self._kill_executor(executor)
+            kill_pool(executor)

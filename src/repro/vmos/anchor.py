@@ -256,14 +256,6 @@ class AnchorDirectory:
             return None
         return self.small[avpn] + offset
 
-    @property
-    def anchor_count(self) -> int:
-        return len(self.anchor_contiguity)
-
-    @property
-    def huge_count(self) -> int:
-        return len(self.huge)
-
     # ------------------------------------------------------------------
     # Page-table materialisation
     # ------------------------------------------------------------------

@@ -35,11 +35,6 @@ class CompactionResult:
     pages_migrated: int         #: page copies performed
     windows_skipped_oom: int    #: windows left alone (no order-9 block)
 
-    @property
-    def migrated_bytes(self) -> int:
-        return self.pages_migrated * 4096
-
-
 def _window_candidates(mapping: MemoryMapping) -> list[int]:
     """2 MiB-aligned windows that are fully mapped but not collapsible
     as-is (not already one phase-aligned contiguous run)."""

@@ -26,8 +26,7 @@ REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 def det_findings():
     root = FIXTURES / "detroot"
-    return run_checks([root], root=root, rules=["determinism"],
-                      repo_checks=False).findings
+    return run_checks([root], root=root, rules=["determinism"]).findings
 
 
 class TestBaseline:
@@ -104,7 +103,7 @@ class TestSarifOutput:
     @pytest.fixture(scope="class")
     def sarif(self):
         root = FIXTURES / "detroot"
-        result = run_checks([root], root=root, repo_checks=False)
+        result = run_checks([root], root=root)
         return result, to_sarif(result)
 
     def test_log_shape(self, sarif):
@@ -114,8 +113,8 @@ class TestSarifOutput:
         driver = run["tool"]["driver"]
         assert driver["name"] == "anchor-tlb-check"
         rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"determinism", "clone-contract", "frozen-mutation",
-                "tracked-bytecode", "parse-error"} <= rule_ids
+        assert rule_ids == {"determinism", "frozen-mutation",
+                            "dtype-hygiene", "parse-error"}
         assert len(run["results"]) == len(result.findings)
 
     def test_results_carry_fingerprints_and_locations(self, sarif):
@@ -136,7 +135,7 @@ class TestSarifOutput:
 class TestJsonOutput:
     def test_schema_and_round_trip(self):
         root = FIXTURES / "detroot"
-        result = run_checks([root], root=root, repo_checks=False)
+        result = run_checks([root], root=root)
         data = json.loads(result.to_json())
         assert data["format"] == OUTPUT_FORMAT
         assert data["files_scanned"] == 3
@@ -161,15 +160,14 @@ class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path):
         clean = tmp_path / "ok.py"
         clean.write_text("X = 1\n")
-        code, out = self.run(str(clean), "--no-repo-checks")
+        code, out = self.run(str(clean))
         assert code == 0
         assert "0 finding(s)" in out
 
     def test_violations_exit_nonzero_with_json(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nR = np.random.default_rng(0)\n")
-        code, out = self.run(str(bad), "--format", "json",
-                             "--no-repo-checks")
+        code, out = self.run(str(bad), "--format", "json")
         assert code == 1
         data = json.loads(out)
         assert data["exit_code"] == 1
@@ -179,9 +177,9 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nR = np.random.default_rng(0)\n")
-        code, _ = self.run(str(bad), "--write-baseline", "--no-repo-checks")
+        code, _ = self.run(str(bad), "--write-baseline")
         assert code == 0
-        code, out = self.run(str(bad), "--no-repo-checks")
+        code, out = self.run(str(bad))
         assert code == 0
         assert "1 baselined" in out
 
@@ -194,7 +192,7 @@ class TestCli:
             "T = time.time()\n")
         baseline = tmp_path / "b.json"
         code, _ = self.run(str(bad), "--write-baseline",
-                           "--baseline", str(baseline), "--no-repo-checks")
+                           "--baseline", str(baseline))
         assert code == 0
         # Fix one violation, introduce another: the stale entry must be
         # pruned, the new finding must NOT be adopted (exit stays 1).
@@ -204,7 +202,7 @@ class TestCli:
             "A = np.random.default_rng(0)\n"
             "D = datetime.datetime.now()\n")
         code, out = self.run(str(bad), "--update-baseline",
-                             "--baseline", str(baseline), "--no-repo-checks")
+                             "--baseline", str(baseline))
         assert code == 1
         assert "kept 1 entrie(s), pruned 1 stale" in out
         assert len(json.loads(baseline.read_text())["fingerprints"]) == 1
@@ -212,8 +210,7 @@ class TestCli:
     def test_sarif_format(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nR = np.random.default_rng(0)\n")
-        code, out = self.run(str(bad), "--format", "sarif",
-                             "--no-repo-checks")
+        code, out = self.run(str(bad), "--format", "sarif")
         assert code == 1
         log = json.loads(out)
         assert log["version"] == "2.1.0"
@@ -227,8 +224,7 @@ class TestCli:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
-            code = checks_main([str(clean), "--timings",
-                                "--no-repo-checks"])
+            code = checks_main([str(clean), "--timings"])
         assert code == 0
         assert "parse" in err.getvalue()
         assert "total" in err.getvalue()
@@ -237,14 +233,12 @@ class TestCli:
     def test_rules_filter_and_listing(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nR = np.random.default_rng(0)\n")
-        code, _ = self.run(str(bad), "--rules", "dtype-hygiene",
-                           "--no-repo-checks")
+        code, _ = self.run(str(bad), "--rules", "dtype-hygiene")
         assert code == 0  # determinism not selected
         code, out = self.run("--list-rules")
         assert code == 0
-        for rule in ("determinism", "scheme-contract", "frozen-mutation",
-                     "dtype-hygiene", "tracked-bytecode"):
-            assert rule in out
+        listed = {line.split()[0] for line in out.splitlines()}
+        assert listed == {"determinism", "frozen-mutation", "dtype-hygiene"}
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         code, _ = self.run(str(tmp_path), "--rules", "bogus")
@@ -253,7 +247,7 @@ class TestCli:
     def test_parse_error_is_a_finding(self, tmp_path):
         broken = tmp_path / "broken.py"
         broken.write_text("def f(:\n")
-        code, out = self.run(str(broken), "--no-repo-checks")
+        code, out = self.run(str(broken))
         assert code == 1
         assert "parse-error" in out
 

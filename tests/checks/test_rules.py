@@ -1,7 +1,7 @@
 """Per-rule positive and negative cases over the fixture trees.
 
 Each fixture root mimics the package layout the rule scopes to
-(``util/rng.py``, ``hw/``, ``schemes/``...), is parsed but never
+(``util/rng.py``, ``hw/``, ``sim/``...), is parsed but never
 imported, and contains both violations and clean counterparts.
 """
 
@@ -16,7 +16,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def findings_in(root_name, rules=None):
     root = FIXTURES / root_name
-    result = run_checks([root], root=root, rules=rules, repo_checks=False)
+    result = run_checks([root], root=root, rules=rules)
     return result.findings
 
 
@@ -67,70 +67,6 @@ class TestDtypeHygiene:
 
     def test_out_of_scope_module_not_flagged(self, findings):
         assert "experiments/free.py" not in by_file(findings)
-
-
-class TestSchemeContract:
-    @pytest.fixture(scope="class")
-    def findings(self):
-        return findings_in("schemeroot", rules=["scheme-contract"])
-
-    def test_hollow_scheme_missing_hooks(self, findings):
-        messages = "\n".join(
-            f.message for f in findings if "HollowScheme" in f.message)
-        assert "'access'" in messages
-        assert "'_translate'" in messages
-        assert "'name'" in messages
-
-    def test_update_hook_without_flush(self, findings):
-        assert any("neither flushes nor delegates" in f.message
-                   for f in findings)
-
-    def test_unguarded_mapping_cache(self, findings):
-        assert any("caches mapping-derived state" in f.message
-                   and "'refresh'" in f.message for f in findings)
-
-    def test_access_block_without_tag_declaration(self, findings):
-        assert any("tag_safe_block" in f.message
-                   and "LeakyTagScheme" in f.message for f in findings)
-
-    def test_access_block_signature_deviation(self, findings):
-        assert any("(self, vpns) signature" in f.message
-                   and "LeakyTagScheme" in f.message for f in findings)
-
-    def test_clean_scheme_and_non_scheme_pass(self, findings):
-        text = "\n".join(f.message for f in findings)
-        assert "CleanScheme" not in text
-        assert "Helper" not in text
-        # resync() caches but also resyncs _synced_version: allowed.
-        assert "'resync'" not in text
-
-
-class TestCloneContract:
-    @pytest.fixture(scope="class")
-    def findings(self):
-        return findings_in("cloneroot", rules=["clone-contract"])
-
-    def test_missing_reset_clone_flagged(self, findings):
-        assert any("ForgetfulScheme" in f.message
-                   and "_reset_clone" in f.message for f in findings)
-
-    def test_mapping_touch_in_reset_clone(self, findings):
-        assert any("touches the mapping" in f.message
-                   and "RebuildingScheme" in f.message for f in findings)
-
-    def test_build_helper_call_in_reset_clone(self, findings):
-        assert any("'_build_views'" in f.message for f in findings)
-
-    def test_expensive_builders_in_reset_clone(self, findings):
-        text = "\n".join(f.message for f in findings)
-        assert "'AnchorDirectory'" in text
-        assert "'RangeTable'" in text
-
-    def test_prepare_share_exempt_and_non_scheme_pass(self, findings):
-        text = "\n".join(f.message for f in findings)
-        assert "CleanCloneScheme" not in text
-        assert "DeclaredScheme" not in text  # hardware table, no reset
-        assert "Helper" not in text
 
 
 class TestFrozenMutation:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.params import MachineConfig, TLBGeometry
+from repro.params import SCENARIO_ORDER, MachineConfig, TLBGeometry
 from repro.schemes.registry import make_scheme, scheme_names
 from repro.sim.engine import run_trace
 from repro.sim.workloads import get_workload
@@ -36,9 +36,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 #: Fixed-seed corpus shape.  Three workloads span the interesting
 #: allocation regimes: omnetpp (thousands of small heap chunks),
 #: sphinx3 (mixed small regions), gups (one giant array, uniform
-#: random — the TLB-hostile worst case).
+#: random — the TLB-hostile worst case); each runs on all six Table-4
+#: fragmentation scenarios.
 WORKLOADS = ("omnetpp", "sphinx3", "gups")
-SCENARIO = "demand"
 MAPPING_SEED = 101
 TRACE_SEED = 202
 REFERENCES = 4_000
@@ -59,8 +59,8 @@ def golden_path(scheme_name: str) -> Path:
     return GOLDEN_DIR / f"stats_{scheme_name}.json"
 
 
-def cell_key(workload: str, pwc: bool) -> str:
-    return f"{workload}/pwc={'on' if pwc else 'off'}"
+def cell_key(scenario: str, workload: str, pwc: bool) -> str:
+    return f"{scenario}/{workload}/pwc={'on' if pwc else 'off'}"
 
 
 @pytest.fixture(scope="module")
@@ -69,21 +69,22 @@ def corpus_inputs():
     inputs = {}
     for name in WORKLOADS:
         workload = get_workload(name)
-        mapping = build_mapping(workload.vmas(), SCENARIO, seed=MAPPING_SEED)
         trace = workload.make_trace(REFERENCES, seed=TRACE_SEED)
-        inputs[name] = (mapping, trace)
+        for scenario in SCENARIO_ORDER:
+            mapping = build_mapping(
+                workload.vmas(), scenario, seed=MAPPING_SEED)
+            inputs[scenario, name] = (mapping, trace)
     return inputs
 
 
 def compute_cells(scheme_name: str, corpus_inputs) -> dict[str, dict]:
     cells: dict[str, dict] = {}
-    for workload in WORKLOADS:
-        mapping, trace = corpus_inputs[workload]
+    for (scenario, workload), (mapping, trace) in corpus_inputs.items():
         for pwc in (False, True):
             machine = dataclasses.replace(TINY, pwc=True) if pwc else TINY
             scheme = make_scheme(scheme_name, mapping, machine)
             run_trace(scheme, trace, epoch_references=EPOCH)
-            cells[cell_key(workload, pwc)] = scheme.stats.snapshot()
+            cells[cell_key(scenario, workload, pwc)] = scheme.stats.snapshot()
     return cells
 
 
@@ -93,7 +94,7 @@ def test_golden_stats(scheme_name, corpus_inputs, refresh_golden):
     cells = compute_cells(scheme_name, corpus_inputs)
     payload = {
         "meta": {
-            "scenario": SCENARIO,
+            "scenarios": list(SCENARIO_ORDER),
             "workloads": list(WORKLOADS),
             "mapping_seed": MAPPING_SEED,
             "trace_seed": TRACE_SEED,

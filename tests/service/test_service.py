@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
+import signal
 import socket
 import time
 
@@ -184,9 +186,17 @@ class TestFailureHandling:
         assert "no-such-workload" in envelopes[-1]["error"]
         assert metrics["errors"] == 1
 
-    @pytest.mark.parametrize("line", [b"[1]", b'"x"', b"3"])
-    def test_non_object_line_keeps_connection_open(self, line):
-        """Valid JSON that is not an object gets an error envelope and
+    @pytest.mark.parametrize("line, message", [
+        pytest.param(b"[1]", "JSON object", id="[1]"),
+        pytest.param(b'"x"', "JSON object", id='"x"'),
+        pytest.param(b"3", "JSON object", id="3"),
+        pytest.param(b"{not json", "malformed JSON", id="malformed"),
+        pytest.param(b'{"op": "bogus"}', "unknown op 'bogus'",
+                     id="unknown-op"),
+    ])
+    def test_non_object_line_keeps_connection_open(self, line, message):
+        """A protocol error — valid JSON that is not an object, a line
+        that is not JSON, an unknown op — gets an error envelope and
         counts as an error; the same connection still answers status."""
         with ServiceThread() as service_thread:
             with socket.create_connection(
@@ -198,7 +208,7 @@ class TestFailureHandling:
                 error = json.loads(stream.readline())
                 reply = json.loads(stream.readline())
         assert error["event"] == "error"
-        assert "JSON object" in error["error"]
+        assert message in error["error"]
         assert reply["event"] == "status"
         assert reply["metrics"]["errors"] == 1
 
@@ -222,6 +232,28 @@ class TestFailureHandling:
                     service_thread.host,
                     service_thread.port,
                 )
+
+
+class TestWorkerDeath:
+    def test_pool_rebuilt_after_worker_sigkill(self):
+        """A dead pool worker costs one rebuild, not every later
+        request: the next submission is retried on a fresh pool and
+        answers exactly like direct execution."""
+        request = request_of(seed=11)
+        direct = execute_request(request)
+        with ServiceThread(workers=1) as service_thread:
+            host, port = service_thread.host, service_thread.port
+            submit_and_wait(request_of(references=2_000), host, port)
+            (worker,) = service_thread.service._pool._processes.values()
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=30)
+            served, _ = submit_and_wait(request, host, port)
+            metrics = status(host, port)["metrics"]
+        assert served.key == request.key()
+        assert (json.dumps(served.payload, sort_keys=True)
+                == json.dumps(direct, sort_keys=True))
+        assert metrics["pool_restarts"] == 1
+        assert metrics["errors"] == 0
 
 
 class TestBackpressure:
