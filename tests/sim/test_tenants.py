@@ -9,7 +9,7 @@ from repro.hw.tlb import TAG_BITS, TAG_SHIFT
 from repro.mem.frames import FrameRange
 from repro.schemes.anchor_scheme import AnchorScheme
 from repro.schemes.baseline import BaselineScheme
-from repro.schemes.registry import make_scheme
+from repro.schemes.registry import make_scheme, scheme_names
 from repro.sim.multiprog import ProcessRun
 from repro.sim.tenants import (
     ScheduleCounters,
@@ -31,6 +31,11 @@ def make_mapping(pages=256, base=10_000):
     mapping = MemoryMapping()
     mapping.map_run(0, FrameRange(base, pages))
     return mapping
+
+
+#: Every registered scheme that claims (or inherits) ``tag_safe_block``.
+TAG_SAFE_SCHEMES = [name for name in scheme_names(include_extras=True)
+                    if make_scheme(name, make_mapping(64)).tag_safe_block]
 
 
 def make_process(name, pages=256, length=2000, seed=0,
@@ -164,8 +169,7 @@ class TestTaggedDifferential:
     """ISSUE acceptance: a 1-tenant tagged run is bit-identical to the
     untagged engine — the ASID machinery must add zero perturbation."""
 
-    @pytest.mark.parametrize(
-        "scheme_name", ["base", "thp", "anchor-dyn", "rmm", "prefetch"])
+    @pytest.mark.parametrize("scheme_name", TAG_SAFE_SCHEMES)
     def test_tagged_equals_untagged(self, scheme_name):
         rng = np.random.default_rng(3)
         vpns = rng.integers(0, 1024, 6000).astype(np.int64)
