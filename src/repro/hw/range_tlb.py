@@ -120,6 +120,20 @@ class RangeTLB:
                 return entry.base_pfn + (vpn - entry.start_vpn)
         return None
 
+    def touch(self, start_vpn: int) -> RangeEntry | None:
+        """The resident range starting at ``start_vpn`` (promoted to
+        MRU), or None.
+
+        The keyed form of :meth:`lookup`: resident same-tag ranges are
+        disjoint chunks of one mapping, so the only one that can cover a
+        VPN is its own chunk's, found by that chunk's start.
+        """
+        key = start_vpn | self._tag_base
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._entries[key] = entry
+        return entry
+
     def insert(self, entry: RangeEntry) -> None:
         key = entry.start_vpn | self._tag_base
         if key in self._entries:

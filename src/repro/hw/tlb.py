@@ -12,16 +12,25 @@ reference model used by the property tests.
 
 Both arrays carry an ASID/PCID-style *tag register* for multi-tenant
 sharing: ``set_tag`` selects the address-space tag of the currently
-running tenant, and every ``lookup``/``insert``/``invalidate`` packs
-that tag into the entry key's high bits (above :data:`TAG_SHIFT`).
+running tenant, and every ``lookup``/``insert``/``peek``/``invalidate``
+packs that tag into the entry key's high bits (above :data:`TAG_SHIFT`).
 Entries of different tenants therefore never alias — a lookup only hits
 same-tag entries — but they do compete for the same sets and ways,
 which is exactly the shared-TLB contention the fleet model measures.
 Tag 0 (the default) leaves keys bit-identical to the untagged
-single-process behaviour, so every existing caller is unaffected.
+single-process behaviour.
+
+The structures here (with :class:`repro.hw.range_tlb.RangeTLB`) are the
+only code that packs or strips the tag; the batched LRU kernel
+(:func:`repro.sim.lru.simulate_block`) packs it too, reading the same
+register.  Schemes hand these methods untagged keys and read resident
+state through :meth:`SetAssociativeTLB.owned`, so no scheme knows the
+tag layout and every scheme can share a tagged hierarchy.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from repro.params import is_pow2
 
@@ -107,6 +116,29 @@ class SetAssociativeTLB:
         elif len(bucket) >= self.ways:
             del bucket[next(iter(bucket))]
         bucket[key] = value
+
+    def peek(self, index: int, key: int) -> object | None:
+        """The value stored under ``key``, or None, leaving LRU alone."""
+        return self._sets[index & self.index_mask].get(key | self._tag_base)
+
+    def owned(
+        self, indices: Iterable[int] | None = None
+    ) -> list[tuple[int, int, object]]:
+        """The running tenant's entries as ``(set, key, value)`` triples.
+
+        Keys come back untagged, each set's entries in LRU -> MRU order,
+        over ``indices`` (every set when None).  Other tenants' entries
+        are skipped: they occupy ways but no lookup of this tenant can
+        see them.
+        """
+        sets = self._sets
+        tag = self.tag
+        return [
+            (index, key & KEY_MASK, value)
+            for index in (range(self.sets) if indices is None else indices)
+            for key, value in sets[index].items()
+            if key >> TAG_SHIFT == tag
+        ]
 
     def invalidate(self, index: int, key: int) -> bool:
         bucket = self._sets[index & self.index_mask]

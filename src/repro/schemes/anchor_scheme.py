@@ -23,10 +23,12 @@ distance-change cost), and fixed-distance instances are used by the
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import PageFaultError
-from repro.hw.tlb import KEY_MASK
+from repro.hw.tlb import SetAssociativeTLB
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.anchor_tlb import (
     KIND_ANCHOR,
@@ -49,6 +51,278 @@ from repro.vmos.mapping import MemoryMapping
 from repro.vmos.shootdown import ShootdownLog
 
 _HUGE_SHIFT = 9
+
+#: Rows per slice of the exact replay's per-row Python columns.
+_REPLAY_SLICE = 4096
+
+#: No drifted entries: a plan whose every mapping update flushes the L2.
+_NO_DRIFT: tuple[dict, set, set] = ({}, set(), set())
+
+
+class PlanViews(NamedTuple):
+    """An anchor coverage plan as sorted key/value arrays (for the
+    vectorised lookups) beside the dicts they came from (for
+    ``value_of``)."""
+
+    huge: tuple[np.ndarray, np.ndarray]     #: 2 MiB window VPN -> PFN
+    small: tuple[np.ndarray, np.ndarray]    #: 4 KiB leaf VPN -> PFN
+    anchors: tuple[np.ndarray, np.ndarray]  #: anchor VPN -> contiguity
+    huge_d: dict[int, int]
+    small_d: dict[int, int]
+    anchors_d: dict[int, int]
+    #: Every anchor sits on a 4 KiB leaf; if that ever broke, the block
+    #: path could not resolve APPNs and falls back to the scalar loop.
+    anchors_ok: bool
+
+    @classmethod
+    def of(cls, huge: dict, small: dict, anchors: dict) -> "PlanViews":
+        hg, sm, an = (sorted_arrays(huge), sorted_arrays(small),
+                      sorted_arrays(anchors))
+        return cls(hg, sm, an, huge, small, anchors,
+                   bool(isin_sorted(sm[0], an[0]).all()))
+
+
+def anchor_access_block(
+    scheme: TranslationScheme,
+    array: SetAssociativeTLB,
+    vpns: np.ndarray,
+    heads: np.ndarray,
+    views: PlanViews,
+    dlog,
+    drift: tuple[dict, set, set] = _NO_DRIFT,
+) -> None:
+    """The batched translation of an anchor scheme (Fig. 5 / Table 2).
+
+    ``heads`` are ``vpns``' run heads (:func:`collapse_runs`), ``array``
+    the L2 and ``dlog`` the log2 anchor distance — one int, or one per
+    head when each region has its own (§4.2).  ``drift`` holds the
+    caller's resident entries that disagree with ``views``: drifted
+    anchor entries by key, resident small keys the plan now anchors,
+    and the sets holding any drifted entry.
+
+    The L1 arrays are promote-or-insert LRU (every head is filled with
+    its plan translation whatever the L2 outcome), so both resolve with
+    :func:`simulate_block`.  Each L1-miss row's L2 probe/fill flow
+    touches exactly one *main* key chosen by a static property of the
+    plan — huge rows their huge key, anchored rows (vpn - avpn <
+    contiguity) their anchor key, the rest their small key — so the
+    main stream batches through :func:`simulate_block` too.  The
+    residual coupling — an unanchored miss *promoting* a resident
+    anchor entry it does not cover, and drifted entries — is confined
+    to the few sets it can touch, which replay exactly in trace order
+    through the array's own ``lookup``/``insert`` (docs/api_tour.md
+    §15).  Falls back to the scalar loop when a head is unmapped.
+    """
+    if not views.anchors_ok:
+        return TranslationScheme.access_block(scheme, vpns)
+    hg_keys, hg_vals = views.huge
+    sm_keys, sm_vals = views.small
+    an_keys, an_vals = views.anchors
+    n = vpns.shape[0]
+    hvpn = heads >> _HUGE_SHIFT
+    hbase, is_huge = lookup_sorted(hg_keys, hg_vals, hvpn << _HUGE_SHIFT)
+    is_small = ~is_huge
+    small_heads = heads[is_small]
+    pfn_sm, found = lookup_sorted(sm_keys, sm_vals, small_heads)
+    if not found.all():
+        # An unmapped page: the scalar loop faults at the right spot.
+        return TranslationScheme.access_block(scheme, vpns)
+
+    huge, small, anchors = views.huge_d, views.small_d, views.anchors_d
+    hit1 = np.empty(heads.shape[0], dtype=bool)
+    hit1[is_small] = simulate_block(
+        scheme.l1.small, small_heads, small_heads, small.__getitem__)
+    hv = hvpn[is_huge]
+    huge_value = lambda h: huge[h << _HUGE_SHIFT]  # noqa: E731
+    hit1[is_huge] = simulate_block(scheme.l1.huge, hv, hv, huge_value)
+
+    # Per-L1-miss precomputation for the shared L2.
+    miss = ~hit1
+    imask = array.index_mask
+    mk = heads[miss]
+    m = mk.shape[0]
+    m_huge = is_huge[miss]
+    if isinstance(dlog, np.ndarray):
+        dlog = dlog[miss]
+    avpn = mk >> dlog << dlog
+    na = an_keys.size
+    if na:
+        aid = np.searchsorted(an_keys, avpn)
+        aid[aid == na] = 0
+        af = an_keys[aid] == avpn
+        cont = np.where(af, an_vals[aid], 0)
+    else:
+        aid = np.zeros(m, dtype=np.int64)
+        af = np.zeros(m, dtype=bool)
+        cont = np.zeros(m, dtype=np.int64)
+    appn, _ = lookup_sorted(sm_keys, sm_vals, avpn)
+    pfn_heads = np.zeros(heads.shape[0], dtype=np.int64)
+    pfn_heads[is_small] = pfn_sm
+    # The value a walk fills under the row's own (huge or small) key.
+    m_fill = np.where(m_huge, hbase[miss], pfn_heads[miss])
+    small_m = ~m_huge
+    anchored = small_m & (mk - avpn < cont)
+    unanch = small_m & ~anchored
+    aidx = (avpn >> dlog) & imask
+    pak = (avpn << 2) | KIND_ANCHOR
+    main_keys = np.where(
+        m_huge, ((mk >> _HUGE_SHIFT) << 2) | KIND_HUGE,
+        np.where(anchored, pak, (mk << 2) | KIND_SMALL))
+    main_sets = np.where(
+        m_huge, (mk >> _HUGE_SHIFT) & imask,
+        np.where(anchored, aidx, mk & imask))
+
+    # Anchor residency by direct probe of each distinct (anchor, set)
+    # pair: a block touches few, so probing beats snapshotting the
+    # array.  Values are block-start state; rows whose outcome depends
+    # on mid-block changes are forced into the replay, which re-checks
+    # live state.
+    probe = af & small_m
+    resident = np.zeros(m, dtype=bool)
+    r_ap = np.zeros(m, dtype=np.int64)
+    r_ct = np.zeros(m, dtype=np.int64)
+    rows = np.flatnonzero(probe)
+    if rows.size:
+        pairs, inverse = np.unique(
+            aid[rows] * (imask + 1) + aidx[rows], return_inverse=True)
+        p_found = np.zeros(pairs.shape[0], dtype=bool)
+        p_ap = np.zeros(pairs.shape[0], dtype=np.int64)
+        p_ct = np.zeros(pairs.shape[0], dtype=np.int64)
+        peek = array.peek
+        for u, pair in enumerate(pairs.tolist()):
+            j, index = divmod(pair, imask + 1)
+            entry = peek(index, (int(an_keys[j]) << 2) | KIND_ANCHOR)
+            if entry is not None:
+                p_found[u] = True
+                p_ap[u], p_ct[u] = entry
+        resident[rows] = p_found[inverse]
+        r_ap[rows] = p_ap[inverse]
+        r_ct[rows] = p_ct[inverse]
+    stale_anchors, anch_smalls, stale_sets = drift
+    # Anchors the plan dropped can survive as resident entries; their
+    # keys and values come from the drift.
+    if stale_anchors:
+        items = sorted(stale_anchors.items())
+        sa_keys = np.array([k for k, _ in items], dtype=np.int64)
+        sa_ap = np.array([v[0] for _, v in items], dtype=np.int64)
+        sa_ct = np.array([v[1] for _, v in items], dtype=np.int64)
+        s_ap, s_found = lookup_sorted(sa_keys, sa_ap, pak)
+        s_ct, _ = lookup_sorted(sa_keys, sa_ct, pak)
+        s_found &= small_m
+        resident |= s_found
+        r_ap = np.where(s_found, s_ap, r_ap)
+        r_ct = np.where(s_found, s_ct, r_ct)
+    stale = resident & ((r_ap != appn) | (r_ct != cont))
+    sk_res = np.zeros(m, dtype=bool)
+    if anch_smalls and bool(anchored.any()):
+        sk_res = anchored & isin_sorted(
+            np.sort(np.fromiter(anch_smalls, dtype=np.int64,
+                                count=len(anch_smalls))),
+            (mk << 2) | KIND_SMALL)
+
+    # Candidate weak touches: an unanchored miss probes its anchor key
+    # and promotes it if resident — possible only if that key was
+    # resident at block start or an in-block anchored row inserts it.
+    inblk = np.zeros(na + 1, dtype=bool)
+    inblk[aid[anchored]] = True
+    cand = unanch & (resident | (probe & inblk[aid]))
+    forced = (stale & (anchored | (unanch & (mk - avpn < r_ct)))) | sk_res
+    # A forced row replays its full scalar flow, which can touch both
+    # its anchor set and its small-key set — contaminate both.  Sets
+    # holding drifted entries always replay: the kernel would rebuild
+    # their final state through value_of — *current* values — silently
+    # refreshing what the scalar machine keeps stale.
+    bad_sets = np.unique(np.concatenate([
+        aidx[cand | (forced & small_m)],
+        (mk & imask)[forced & small_m],
+        main_sets[forced],
+        np.fromiter(stale_sets, dtype=np.int64, count=len(stale_sets)),
+    ]))
+    if bad_sets.size:
+        row_bad = isin_sorted(bad_sets, main_sets)
+        weak_only = cand & ~row_bad
+    else:
+        row_bad = np.zeros(m, dtype=bool)
+        weak_only = row_bad
+
+    # Batched main stream over the clean sets only.  value_of resolves
+    # by *key* (not row) because the kernel also calls it for resident
+    # prefix entries surviving into the final state of a touched set;
+    # the drift check above guarantees every such key still resolves
+    # to its resident value.
+    clean = ~row_bad
+
+    def value_of(key: int):
+        kind = key & 3
+        base = key >> 2
+        if kind == KIND_ANCHOR:
+            return (small[base], anchors[base])
+        if kind == KIND_HUGE:
+            return huge[base << _HUGE_SHIFT]
+        return small[base]
+
+    hit2 = np.zeros(m, dtype=bool)
+    hit2[clean] = simulate_block(
+        array, main_sets[clean], main_keys[clean], value_of)
+    walk_mask = clean & ~hit2
+    ch = clean & hit2
+    l2_huge = int(np.count_nonzero(ch & m_huge))
+    coalesced = int(np.count_nonzero(ch & anchored))
+    l2_small = int(np.count_nonzero(ch & unanch))
+
+    # Exact replay of the contaminated sets, plus the weak anchor
+    # promotions of clean unanchored misses whose main probe missed
+    # (a main-probe hit never probes the anchor), in trace order.
+    lookup = array.lookup
+    insert = array.insert
+    replay = np.flatnonzero(row_bad | (weak_only & ~hit2))
+    # In slices, so the per-row columns stay small when most of a big
+    # block is contaminated.
+    for start in range(0, replay.size, _REPLAY_SLICE):
+        rows = replay[start:start + _REPLAY_SLICE]
+        for i, weak, vpn, huge_row, fill, ai, ak, av, ct, ap in zip(
+                rows.tolist(), weak_only[rows].tolist(), mk[rows].tolist(),
+                m_huge[rows].tolist(), m_fill[rows].tolist(),
+                aidx[rows].tolist(), pak[rows].tolist(),
+                avpn[rows].tolist(), cont[rows].tolist(),
+                appn[rows].tolist()):
+            if weak:
+                lookup(ai, ak)
+                continue
+            if huge_row:
+                hvpn_row = vpn >> _HUGE_SHIFT
+                hkey = (hvpn_row << 2) | KIND_HUGE
+                if lookup(hvpn_row, hkey) is not None:
+                    l2_huge += 1
+                else:
+                    walk_mask[i] = True
+                    insert(hvpn_row, hkey, fill)
+                continue
+            skey = (vpn << 2) | KIND_SMALL
+            if lookup(vpn, skey) is not None:
+                l2_small += 1
+                continue
+            # The anchor probe touches LRU even when contiguity misses.
+            entry = lookup(ai, ak)
+            if entry is not None and vpn - av < entry[1]:
+                coalesced += 1
+                continue
+            walk_mask[i] = True
+            if vpn - av < ct:
+                insert(ai, ak, (ap, ct))
+            else:
+                insert(vpn, skey, fill)
+
+    scheme.stats.bulk_update(
+        accesses=n,
+        l1_hits=n - heads.shape[0] + int(np.count_nonzero(hit1)),
+        l2_small_hits=l2_small,
+        l2_huge_hits=l2_huge,
+        coalesced_hits=coalesced,
+        walks=int(np.count_nonzero(walk_mask)),
+        walk_pt_accesses=scheme._block_walk_accesses(
+            mk[walk_mask], m_huge[walk_mask]),
+    )
 
 
 class AnchorScheme(TranslationScheme):
@@ -193,26 +467,23 @@ class AnchorScheme(TranslationScheme):
     # Batched fast path
     # ------------------------------------------------------------------
 
-    def _directory_arrays(self):
+    def _directory_arrays(self) -> PlanViews:
         """Sorted-array views of the coverage plan, rebuilt lazily after
         any OS-side update (reselect, map/unmap/protect, rebuild)."""
         if self._block_cache is None:
-            directory = self.directory
-            hg = sorted_arrays(directory.huge)
-            sm = sorted_arrays(directory.small)
-            an = sorted_arrays(directory.anchor_contiguity)
-            # Every anchor sits on a 4 KiB leaf by construction; if that
-            # ever broke, the block path could not resolve APPNs safely.
-            anchors_ok = bool(isin_sorted(sm[0], an[0]).all())
-            self._block_cache = (hg, sm, an, anchors_ok)
+            self._block_cache = PlanViews.of(
+                self.directory.huge, self.directory.small,
+                self.directory.anchor_contiguity)
         return self._block_cache
 
     def _invalidate_block_cache(self) -> None:
         self._block_cache = None
         self._scan_needed = True
 
-    def _rescan_residents(self, tbase: int) -> None:
-        """Full array scan rebuilding the resident-state caches."""
+    def _classify_residents(self, indices=None):
+        """This tenant's resident L2 entries (in the sets ``indices``,
+        or all) against the current plan: ``(sets holding a drifted
+        entry, drifted anchor entries, small keys the plan anchors)``."""
         directory = self.directory
         small_dir = directory.small
         anchor_cont = directory.anchor_contiguity
@@ -221,348 +492,57 @@ class AnchorScheme(TranslationScheme):
         stale_sets: set[int] = set()
         stale_anchors: dict[int, tuple[int, int]] = {}
         anch_smalls: set[int] = set()
-        for index, bucket in enumerate(self.l2.array._sets):
-            for key, value in bucket.items():
-                if (key & ~KEY_MASK) != tbase:
-                    continue          # another tenant's entry
-                kind = key & 3
-                base = (key & KEY_MASK) >> 2
-                if kind == KIND_ANCHOR:
-                    if value != (small_dir.get(base),
-                                 anchor_cont.get(base)):
-                        stale_sets.add(index)
-                        stale_anchors[key] = value
-                elif kind == KIND_SMALL:
-                    if value != small_dir.get(base):
-                        stale_sets.add(index)
-                    avpn = base >> dlog << dlog
-                    if base - avpn < anchor_cont.get(avpn, 0):
-                        anch_smalls.add(key)
-                else:
-                    if value != huge.get(base << _HUGE_SHIFT):
-                        stale_sets.add(index)
-        self._stale_sets = stale_sets
-        self._stale_anchors = stale_anchors
-        self._anch_smalls = anch_smalls
-        self._scan_needed = False
-        self._scan_tag = tbase
-
-    def _prune_residents(self, tbase: int) -> None:
-        """Re-probe the cached drifted entries; they can only go away
-        (replay or other-tenant pressure evicting them, a replayed walk
-        re-filling an anchor with current values) — never appear —
-        between directory changes."""
-        if not (self._stale_sets or self._anch_smalls):
-            return
-        array = self.l2.array
-        buckets = array._sets
-        directory = self.directory
-        small_dir = directory.small
-        anchor_cont = directory.anchor_contiguity
-        huge = directory.huge
-        stale_anchors: dict[int, tuple[int, int]] = {}
-        for index in sorted(self._stale_sets):
-            drifted = False
-            for key, value in buckets[index].items():
-                if (key & ~KEY_MASK) != tbase:
-                    continue
-                kind = key & 3
-                base = (key & KEY_MASK) >> 2
-                if kind == KIND_ANCHOR:
-                    if value != (small_dir.get(base),
-                                 anchor_cont.get(base)):
-                        drifted = True
-                        stale_anchors[key] = value
-                elif kind == KIND_SMALL:
-                    if value != small_dir.get(base):
-                        drifted = True
-                elif value != huge.get(base << _HUGE_SHIFT):
-                    drifted = True
-            if not drifted:
-                self._stale_sets.discard(index)
-        self._stale_anchors = stale_anchors
-        imask = array.index_mask
-        for key in list(self._anch_smalls):
-            if buckets[((key & KEY_MASK) >> 2) & imask].get(key) is None:
-                self._anch_smalls.discard(key)
-
-    def access_block(self, vpns: np.ndarray) -> None:
-        """Vectorised fast path.
-
-        The L1 arrays are promote-or-insert LRU (every head is filled
-        with its directory translation whatever the L2 outcome), so both
-        resolve with :func:`simulate_block`.  The shared L2 decomposes
-        the same way the cluster schemes do (docs/api_tour.md §15):
-        each L1-miss row's probe/fill flow touches exactly one *main*
-        key chosen by a static property of the directory (huge rows
-        their huge key, anchored rows their anchor key, the rest their
-        small key — Table 2), so the main stream batches through
-        :func:`simulate_block`; the residual coupling — weak anchor
-        promotions by unanchored misses, and stale entries surviving
-        the incremental OS-update paths — is confined to the few sets
-        it can touch, which replay exactly in trace order.
-        """
-        if vpns.shape[0] == 0:
-            return
-        (hg_keys, hg_vals), (sm_keys, sm_vals), (an_keys, an_vals), ok = (
-            self._directory_arrays())
-        if not ok:
-            return super().access_block(vpns)
-        heads = collapse_runs(vpns)
-        n = vpns.shape[0]
-        hvpn = heads >> _HUGE_SHIFT
-        hbase, is_huge = lookup_sorted(hg_keys, hg_vals, hvpn << _HUGE_SHIFT)
-        is_small = ~is_huge
-        small_heads = heads[is_small]
-        pfn_sm, found = lookup_sorted(sm_keys, sm_vals, small_heads)
-        if not found.all():
-            # An unmapped page: the scalar loop faults at the right spot.
-            return super().access_block(vpns)
-
-        directory = self.directory
-        huge = directory.huge
-        hit1 = np.empty(heads.shape[0], dtype=bool)
-        hit1[is_small] = simulate_block(
-            self.l1.small, small_heads, small_heads,
-            directory.small.__getitem__)
-        hv = hvpn[is_huge]
-        huge_value = lambda h: huge[h << _HUGE_SHIFT]  # noqa: E731
-        hit1[is_huge] = simulate_block(self.l1.huge, hv, hv, huge_value)
-
-        # Per-L1-miss precomputation for the shared L2.  Each miss row's
-        # probe/fill flow touches exactly one *main* key, chosen by a
-        # static property of the directory (Table 2): huge rows their
-        # huge key, anchored rows (vpn - avpn < contiguity) their anchor
-        # key, the rest their small key.  That makes the main stream
-        # promote-or-insert, so it batches through simulate_block; the
-        # residual coupling — an unanchored miss *promoting* a resident
-        # anchor entry it doesn't cover, and stale entries surviving the
-        # incremental OS-update paths — is confined to the few sets it
-        # can touch, which replay exactly in trace order below (the same
-        # decomposition the cluster schemes use, docs/api_tour.md §15).
-        miss = ~hit1
-        dlog = self._dlog
-        array = self.l2.array
-        imask = array.index_mask
-        ways = array.ways
-        buckets = array._sets
-        # The replay builds raw keys, bypassing the array's tag packing;
-        # OR the active tenant's tag base in explicitly (0 when untagged)
-        # so tagged entries of other tenants never alias but still
-        # contend for ways.  simulate_block packs the same bits itself.
-        tbase = array._tag_base
-        mk = heads[miss]
-        m = mk.shape[0]
-        m_huge = is_huge[miss]
-        m_hb = hbase[miss]
-        avpn = mk >> dlog << dlog
-        na = an_keys.size
-        if na:
-            aid = np.searchsorted(an_keys, avpn)
-            aid[aid == na] = 0
-            af = an_keys[aid] == avpn
-            cont = np.where(af, an_vals[aid], 0)
-        else:
-            aid = np.zeros(m, dtype=np.int64)
-            af = np.zeros(m, dtype=bool)
-            cont = np.zeros(m, dtype=np.int64)
-        appn, _ = lookup_sorted(sm_keys, sm_vals, avpn)
-        pfn_heads = np.zeros(heads.shape[0], dtype=np.int64)
-        pfn_heads[is_small] = pfn_sm
-        m_pfn = pfn_heads[miss]
-        small_m = ~m_huge
-        anchored = small_m & (mk - avpn < cont)
-        unanch = small_m & ~anchored
-        aidx = (mk >> dlog) & imask
-        pak = ((avpn << 2) | KIND_ANCHOR) | np.int64(tbase)
-
-        main_keys = np.where(
-            m_huge, ((mk >> _HUGE_SHIFT) << 2) | KIND_HUGE,
-            np.where(anchored, (avpn << 2) | KIND_ANCHOR, mk << 2))
-        main_sets = np.where(
-            m_huge, (mk >> _HUGE_SHIFT) & imask,
-            np.where(anchored, aidx, mk & imask))
-
-        # Refresh the resident-state caches: full array scan only after
-        # a directory (or tag) change, cheap shrink-only re-probe of
-        # the cached entries otherwise.
-        if self._scan_needed or self._scan_tag != tbase:
-            self._rescan_residents(tbase)
-        else:
-            self._prune_residents(tbase)
-        stale_anchors = self._stale_anchors
-        anch_smalls = self._anch_smalls
-
-        # Anchor residency by direct probe: a block touches few
-        # distinct anchors, so probing their buckets beats snapshotting
-        # the whole array.  Values are block-start state; rows whose
-        # outcome depends on mid-block changes are forced into the
-        # replay, which re-checks live state.
-        probe = af & small_m
-        touched = np.zeros(na + 1, dtype=bool)
-        touched[aid[probe]] = True
-        rf = np.zeros(na + 1, dtype=bool)
-        ra = np.zeros(na + 1, dtype=np.int64)
-        rc = np.zeros(na + 1, dtype=np.int64)
-        for j in np.flatnonzero(touched[:na]).tolist():
-            av = int(an_keys[j])
-            entry = buckets[(av >> dlog) & imask].get(
-                ((av << 2) | KIND_ANCHOR) | tbase)
-            if entry is not None:
-                rf[j] = True
-                ra[j] = entry[0]
-                rc[j] = entry[1]
-        resident = rf[aid] & probe
-        r_ap = np.where(resident, ra[aid], 0)
-        r_ct = np.where(resident, rc[aid], 0)
-        # Anchors the directory dropped can survive as resident
-        # entries; their keys and values come from the drift cache.
-        if stale_anchors:
-            items = sorted(stale_anchors.items())
-            sa_keys = np.array([k for k, _ in items], dtype=np.int64)
-            sa_ap = np.array([v[0] for _, v in items], dtype=np.int64)
-            sa_ct = np.array([v[1] for _, v in items], dtype=np.int64)
-            s_ap, s_found = lookup_sorted(sa_keys, sa_ap, pak)
-            s_ct, _ = lookup_sorted(sa_keys, sa_ct, pak)
-            s_found &= small_m
-            resident |= s_found
-            r_ap = np.where(s_found, s_ap, r_ap)
-            r_ct = np.where(s_found, s_ct, r_ct)
-        stale = resident & ((r_ap != appn) | (r_ct != cont))
-        sk_res = np.zeros(m, dtype=bool)
-        if anch_smalls and bool(anchored.any()):
-            sk_res = anchored & isin_sorted(
-                np.sort(np.fromiter(anch_smalls, dtype=np.int64,
-                                    count=len(anch_smalls))),
-                (mk << 2) | np.int64(tbase))
-
-        # Candidate weak touches: an unanchored miss probes its anchor
-        # key and promotes it if resident — possible only if that key
-        # was resident at block start or an in-block anchored row
-        # inserts it.
-        inblk = np.zeros(na + 1, dtype=bool)
-        inblk[aid[anchored]] = True
-        cand = unanch & (resident | (probe & inblk[aid]))
-        forced = (stale & (anchored | (unanch & (mk - avpn < r_ct)))) | sk_res
-        # A forced row replays its full scalar flow, which can touch
-        # both its anchor set and its small-key set — contaminate both.
-        # Sets holding drifted entries always replay: the kernel would
-        # rebuild their final state through value_of — *current* values
-        # — silently refreshing what the scalar machine keeps stale.
-        bad_sets = np.unique(np.concatenate([
-            aidx[cand | (forced & small_m)],
-            (mk & imask)[forced & small_m],
-            main_sets[forced],
-            np.fromiter(self._stale_sets, dtype=np.int64,
-                        count=len(self._stale_sets)),
-        ]))
-        if bad_sets.size:
-            row_bad = isin_sorted(bad_sets, main_sets)
-            weak_only = cand & ~row_bad
-        else:
-            row_bad = np.zeros(m, dtype=bool)
-            weak_only = row_bad
-
-        # Batched main stream over the clean sets only.  value_of
-        # resolves by *key* (not row) because the kernel also calls it
-        # for resident prefix entries surviving into the final state of
-        # a touched set; the drift check above guarantees every such
-        # key still resolves to its resident value.
-        clean = ~row_bad
-        small_dir = directory.small
-        anchor_cont = directory.anchor_contiguity
-
-        def value_of(key: int):
+        for index, key, value in self.l2.array.owned(indices):
             kind = key & 3
             base = key >> 2
             if kind == KIND_ANCHOR:
-                return (small_dir[base], anchor_cont[base])
-            if kind == KIND_HUGE:
-                return huge[base << _HUGE_SHIFT]
-            return small_dir[base]
+                if value != (small_dir.get(base), anchor_cont.get(base)):
+                    stale_sets.add(index)
+                    stale_anchors[key] = value
+            elif kind == KIND_SMALL:
+                if value != small_dir.get(base):
+                    stale_sets.add(index)
+                avpn = base >> dlog << dlog
+                if base - avpn < anchor_cont.get(avpn, 0):
+                    anch_smalls.add(key)
+            elif value != huge.get(base << _HUGE_SHIFT):
+                stale_sets.add(index)
+        return stale_sets, stale_anchors, anch_smalls
 
-        hit2 = np.zeros(m, dtype=bool)
-        hit2[clean] = simulate_block(
-            array, main_sets[clean], main_keys[clean], value_of)
-        walk_mask = clean & ~hit2
-        ch = clean & hit2
-        l2_huge = int(np.count_nonzero(ch & m_huge))
-        coalesced = int(np.count_nonzero(ch & anchored))
-        l2_small = int(np.count_nonzero(ch & unanch))
+    def _refresh_residents(self) -> None:
+        """Bring the resident-state caches up to date.
 
-        # Exact replay of the contaminated sets, plus the weak anchor
-        # promotions of clean unanchored misses, in trace order.
-        for i in np.flatnonzero(row_bad | weak_only).tolist():
-            if weak_only[i]:
-                if hit2[i]:  # main probe hit: the anchor is never probed
-                    continue
-                abucket = buckets[int(aidx[i])]
-                akey = int(pak[i])
-                entry = abucket.get(akey)
-                if entry is not None:
-                    del abucket[akey]
-                    abucket[akey] = entry
-                continue
-            vpn = int(mk[i])
-            if m_huge[i]:
-                bucket = buckets[int(main_sets[i])]
-                key = int(main_keys[i]) | tbase
-                value = bucket.get(key)
-                if value is not None:
-                    del bucket[key]
-                    bucket[key] = value
-                    l2_huge += 1
-                else:
-                    walk_mask[i] = True
-                    if len(bucket) >= ways:
-                        del bucket[next(iter(bucket))]
-                    bucket[key] = int(m_hb[i])
-                continue
-            bucket = buckets[vpn & imask]
-            skey = (vpn << 2) | tbase  # | KIND_SMALL
-            value = bucket.get(skey)
-            if value is not None:
-                del bucket[skey]
-                bucket[skey] = value
-                l2_small += 1
-                continue
-            abucket = buckets[int(aidx[i])]
-            akey = int(pak[i])
-            entry = abucket.get(akey)
-            av = int(avpn[i])
-            if entry is not None:
-                # The probe touches LRU even when contiguity misses.
-                del abucket[akey]
-                abucket[akey] = entry
-                if vpn - av < entry[1]:
-                    coalesced += 1
-                    continue
-            walk_mask[i] = True
-            if vpn - av < int(cont[i]):
-                if akey in abucket:
-                    del abucket[akey]
-                elif len(abucket) >= ways:
-                    del abucket[next(iter(abucket))]
-                abucket[akey] = (int(appn[i]), int(cont[i]))
-            else:
-                if len(bucket) >= ways:
-                    del bucket[next(iter(bucket))]
-                bucket[skey] = int(m_pfn[i])
+        A full array scan runs only after a directory (or tag) change —
+        stale survivors can appear at no other time.  Otherwise the
+        cached drifted entries are re-probed: they can only go away
+        (replay or other-tenant pressure evicting them, a replayed walk
+        re-filling an anchor with current values), never appear.
+        """
+        array = self.l2.array
+        if self._scan_needed or self._scan_tag != array.tag:
+            (self._stale_sets, self._stale_anchors,
+             self._anch_smalls) = self._classify_residents()
+            self._scan_needed = False
+            self._scan_tag = array.tag
+        elif self._stale_sets or self._anch_smalls:
+            self._stale_sets, self._stale_anchors, _ = (
+                self._classify_residents(sorted(self._stale_sets)))
+            peek = array.peek
+            self._anch_smalls = {key for key in self._anch_smalls
+                                 if peek(key >> 2, key) is not None}
 
-        walks = int(np.count_nonzero(walk_mask))
-        walk_pt = 0
-        if self.pwc is not None:
-            walk_pt = self._block_walk_accesses(
-                mk[walk_mask], m_huge[walk_mask])
-        self.stats.bulk_update(
-            accesses=n,
-            l1_hits=n - heads.shape[0] + int(np.count_nonzero(hit1)),
-            l2_small_hits=l2_small,
-            l2_huge_hits=l2_huge,
-            coalesced_hits=coalesced,
-            walks=walks,
-            walk_pt_accesses=walk_pt,
-        )
+    def access_block(self, vpns: np.ndarray) -> None:
+        """Vectorised fast path: :func:`anchor_access_block` under the
+        process-wide distance, with the drifted entries the incremental
+        OS-update paths leave behind forced into its exact replay."""
+        if vpns.shape[0] == 0:
+            return
+        views = self._directory_arrays()
+        self._refresh_residents()
+        anchor_access_block(
+            self, self.l2.array, vpns, collapse_runs(vpns), views,
+            self._dlog,
+            (self._stale_anchors, self._anch_smalls, self._stale_sets))
 
     # ------------------------------------------------------------------
     # Dynamic distance management (epoch boundary hook)

@@ -92,16 +92,6 @@ class TranslationScheme(abc.ABC):
     #: anchor schemes override this with a property.
     distance: int | None = None
 
-    #: Whether :meth:`access_block` stays correct when the TLB arrays
-    #: carry a nonzero address-space tag (multi-tenant sharing).  The
-    #: scalar loop below is tag-safe by construction — every state touch
-    #: goes through the arrays' ``lookup``/``insert``, which pack the
-    #: tag themselves — and so is a vectorised override that packs the
-    #: tag into every raw key it writes.  A scheme whose fast path keeps
-    #: raw keys sets this to False and cannot join a tagged fleet;
-    #: ``test_tagged_parity`` holds every tag-safe scheme to its claim.
-    tag_safe_block: bool = True
-
     #: Every TLB structure the scheme owns, by attribute name.  The
     #: constructor builds each one; :meth:`flush`, :meth:`set_asid`,
     #: :meth:`clone_fresh` and the tagged fleet's sharing
@@ -200,14 +190,10 @@ class TranslationScheme(abc.ABC):
         """Select this tenant's address-space tag on every TLB structure.
 
         Called by the tenant scheduler on every switch-in (the PCID
-        write that rides along with CR3).  Requires a tag-aware block
-        fast path (:attr:`tag_safe_block`): schemes that keep raw keys
-        in their arrays cannot share them between tenants.
+        write that rides along with CR3).  Every scheme supports it:
+        the structures pack the tag into each key themselves, and no
+        access path writes their entries any other way.
         """
-        if not self.tag_safe_block:
-            raise ValueError(
-                f"scheme {self.name!r} does not support ASID tagging"
-            )
         for name, hw in self.hardware.items():
             if hw.tagged:
                 structure = getattr(self, name)

@@ -27,7 +27,7 @@ from repro.params import (
     MachineConfig,
 )
 from repro.hw.cluster import ClusterEntry, ClusterTLB, build_cluster_entry
-from repro.hw.tlb import KEY_MASK, SetAssociativeTLB, TAG_SHIFT
+from repro.hw.tlb import SetAssociativeTLB
 from repro.schemes.base import Hardware, TranslationScheme, promote_huge_pages
 from repro.sim.lru import (
     collapse_runs,
@@ -238,30 +238,24 @@ class ClusterScheme(TranslationScheme):
         # --- clustered side -------------------------------------------
         carr = self.clustered.array
         c_setmask = carr.index_mask
-        tag_base = carr.tag << TAG_SHIFT
-        snapshot = {
-            key: entry
-            for bucket in carr._sets
-            for key, entry in bucket.items()
-        }
+        snapshot = {vc: entry for _, vc, entry in carr.owned()}
         strong_rows = sm_rows[c_class]
         strong_v = mk[strong_rows]
         strong_vc = strong_v >> _CLUSTER_SHIFT
         strong_pc = pfn[strong_rows] >> _CLUSTER_SHIFT
         strong_offs = offsets[c_class]
-        strong_pk = strong_vc | np.int64(tag_base)
 
         # Candidate weak touches: R-class regular misses whose vcluster
         # could be resident when probed.
         weak_rows = reg_rows[~hit2 & ~reg_huge]
         weak_vc = mk[weak_rows] >> _CLUSTER_SHIFT
-        if weak_vc.size and (snapshot or strong_pk.size):
+        if weak_vc.size and (snapshot or strong_vc.size):
             universe = np.concatenate([
                 np.fromiter(snapshot, dtype=np.int64, count=len(snapshot)),
-                strong_pk,
+                strong_vc,
             ])
             universe.sort()
-            weak_cand = isin_sorted(universe, weak_vc | np.int64(tag_base))
+            weak_cand = isin_sorted(universe, weak_vc)
         else:
             weak_cand = np.zeros(weak_vc.shape, dtype=bool)
         bad_sets = np.unique(weak_vc[weak_cand] & c_setmask)
@@ -283,7 +277,7 @@ class ClusterScheme(TranslationScheme):
         def c_value_of(vc: int) -> ClusterEntry:
             j = last_row.get(vc)
             if j is None:
-                return snapshot[vc | tag_base]
+                return snapshot[vc]
             return ClusterEntry(
                 vc, int(cpc[j]) << _CLUSTER_SHIFT,
                 tuple(int(o) if o >= 0 else None for o in c_offs[j]))
@@ -295,7 +289,7 @@ class ClusterScheme(TranslationScheme):
         covered[has_prev] = cpc[prev[has_prev]] == cpc[has_prev]
         cv = strong_v[clean]
         for i in np.flatnonzero(array_hit & ~has_prev).tolist():
-            entry = snapshot.get(int(cvc[i]) | tag_base)
+            entry = snapshot.get(int(cvc[i]))
             covered[i] = (
                 entry is not None
                 and entry.offsets[int(cv[i]) & _CLUSTER_MASK] is not None)
@@ -305,8 +299,6 @@ class ClusterScheme(TranslationScheme):
 
         # Contaminated sets: exact Python replay, in trace order.
         if bad_sets.size:
-            c_ways = carr.ways
-            c_sets = carr._sets
             n_strong = int(np.count_nonzero(strong_bad))
             rep_pos = np.concatenate(
                 [strong_rows[strong_bad], weak_rows[weak_cand]])
@@ -316,46 +308,31 @@ class ClusterScheme(TranslationScheme):
             slot_b = (strong_v[strong_bad] & _CLUSTER_MASK).tolist()
             pcb_b = ((strong_pc[strong_bad]) << _CLUSTER_SHIFT).tolist()
             offs_b = strong_offs[strong_bad].tolist()
-            o_vc = rep_vc[order]
-            rows = zip(
-                rep_pos[order].tolist(),
-                order.tolist(),
-                (o_vc | np.int64(tag_base)).tolist(),
-                (o_vc & c_setmask).tolist(),
-            )
+            c_lookup = carr.lookup
+            c_insert = carr.insert
             # Walks at the same (vcluster, pcluster) build value-equal
             # entries (the decomposition is static per mapping version),
             # so one materialisation serves every rebuild.
             entry_cache: dict[tuple[int, int], ClusterEntry] = {}
-            for pos, j, pk, sidx in rows:
-                bucket = c_sets[sidx]
-                entry = bucket.get(pk)
+            for pos, j, vc in zip(rep_pos[order].tolist(), order.tolist(),
+                                  rep_vc[order].tolist()):
+                # A weak touch (j >= n_strong) is the R-class probe: it
+                # promotes a resident entry whose slot never covers it.
+                entry = c_lookup(vc, vc)
                 if j >= n_strong:
-                    # Weak touch: the R-class probe promotes a resident
-                    # entry even though its slot is never covered.
-                    if entry is not None:
-                        del bucket[pk]
-                        bucket[pk] = entry
                     continue
-                if entry is not None:
-                    del bucket[pk]
-                    bucket[pk] = entry
-                    if entry.offsets[slot_b[j]] is not None:
-                        coalesced += 1
-                        continue
+                if entry is not None and entry.offsets[slot_b[j]] is not None:
+                    coalesced += 1
+                    continue
                 walk_mask[pos] = True
                 pcb = pcb_b[j]
-                new = entry_cache.get((pk, pcb))
+                new = entry_cache.get((vc, pcb))
                 if new is None:
                     new = ClusterEntry(
-                        pk & KEY_MASK, pcb,
+                        vc, pcb,
                         tuple(o if o >= 0 else None for o in offs_b[j]))
-                    entry_cache[(pk, pcb)] = new
-                if pk in bucket:
-                    del bucket[pk]
-                elif len(bucket) >= c_ways:
-                    del bucket[next(iter(bucket))]
-                bucket[pk] = new
+                    entry_cache[(vc, pcb)] = new
+                c_insert(vc, vc, new)
 
         walk_vpns = mk[walk_mask]
         walk_pt = self._block_walk_accesses(walk_vpns, m_huge[walk_mask])

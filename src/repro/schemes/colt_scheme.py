@@ -15,7 +15,6 @@ import numpy as np
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.cluster import ColtEntry, build_colt_entry
-from repro.hw.tlb import TAG_SHIFT
 from repro.schemes.base import L2_ARRAY, TranslationScheme
 from repro.sim.lru import collapse_runs, previous_occurrence, simulate_block
 from repro.vmos.mapping import MemoryMapping
@@ -109,16 +108,10 @@ class ColtScheme(TranslationScheme):
         ent_pages = ent_end - ent_start
         ent_pfn = frozen.run_pfn[run] + (ent_start - run_start)
 
-        # Entries resident before the block: needed as values for lines
-        # the block never walks and for coverage checks on first probes.
-        # Snapshot keys are as stored — tag-packed — so every lookup
-        # below packs the array's current tag.
-        tag_base = self.l2.tag << TAG_SHIFT
-        snapshot = {
-            key: entry
-            for bucket in self.l2._sets
-            for key, entry in bucket.items()
-        }
+        # This tenant's entries resident before the block: needed as
+        # values for lines the block never walks and for coverage checks
+        # on first probes.
+        snapshot = {line: entry for _, line, entry in self.l2.owned()}
         built = dict(zip(
             lines.tolist(),
             zip(ent_start.tolist(), ent_pfn.tolist(), ent_pages.tolist()),
@@ -127,7 +120,7 @@ class ColtScheme(TranslationScheme):
         def value_of(line: int) -> ColtEntry:
             args = built.get(line)
             if args is None:
-                return snapshot[line | tag_base]
+                return snapshot[line]
             return ColtEntry(*args)
 
         array_hit = simulate_block(self.l2, lines, lines, value_of)
@@ -136,7 +129,7 @@ class ColtScheme(TranslationScheme):
         covered = np.zeros(mk.shape[0], dtype=bool)
         covered[has_prev] = run[prev[has_prev]] == run[has_prev]
         for i in np.flatnonzero(array_hit & ~has_prev).tolist():
-            entry = snapshot.get(int(lines[i]) | tag_base)
+            entry = snapshot.get(int(lines[i]))
             covered[i] = (entry is not None
                           and entry.translate(int(mk[i])) is not None)
         trans_hit = array_hit & covered

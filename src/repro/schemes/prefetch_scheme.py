@@ -143,10 +143,6 @@ class PrefetchScheme(TranslationScheme):
         hit1 = simulate_block(self.l1.small, heads, heads, small.__getitem__)
         mk = heads[~hit1]
         pfn_mk, _ = frozen.translate_block(mk)
-        buckets = self.l2._sets
-        tbase = self.l2._tag_base
-        ways = self.l2.ways
-        imask = self.l2.index_mask
         prefetched = self._prefetched
         predictor = self.predictor
         table = predictor._table
@@ -156,6 +152,7 @@ class PrefetchScheme(TranslationScheme):
         small_get = small.get
         tpop = table.pop
         tget = table.get
+        l2_lookup = self.l2.lookup
         l2_insert = self.l2.insert
         l2_hits = walks = 0
         pf_hits = self.prefetch_hits
@@ -165,12 +162,7 @@ class PrefetchScheme(TranslationScheme):
         want_walks = self.pwc is not None
         walk_vpns: list[int] = []
         for vpn, pfn in zip(mk.tolist(), pfn_mk.tolist()):
-            bucket = buckets[vpn & imask]
-            key = vpn | tbase
-            value = bucket.get(key)
-            if value is not None:
-                del bucket[key]
-                bucket[key] = value
+            if l2_lookup(vpn, vpn) is not None:
                 l2_hits += 1
                 if vpn not in prefetched:
                     continue
@@ -180,9 +172,7 @@ class PrefetchScheme(TranslationScheme):
                 walks += 1
                 if want_walks:
                     walk_vpns.append(vpn)
-                if len(bucket) >= ways:
-                    del bucket[next(iter(bucket))]
-                bucket[key] = pfn
+                l2_insert(vpn, vpn, pfn)
             # DistancePredictor.observe_and_predict + _issue_prefetch,
             # inlined with the predictor state in locals (written back
             # after the loop): this runs once per real-or-hidden L2

@@ -132,11 +132,8 @@ class RMMScheme(TranslationScheme):
         so neither is promote-or-insert over its own probe stream.  The
         L1 misses replay through an exact Python loop with the
         per-reference lookups (page-size class, PFN, covering chunk)
-        hoisted into numpy.  The range-TLB scan reduces to one dict
-        probe: resident same-tag ranges are disjoint chunks of the
-        current mapping keyed by their (tagged) start VPN, so the only
-        entry that can cover a VPN is its own chunk's — foreign-tag
-        entries never match an associative lookup by construction.
+        hoisted into numpy.  The range-TLB scan reduces to one keyed
+        probe (:meth:`RangeTLB.touch`) by the covering chunk's start.
         """
         if vpns.shape[0] == 0:
             return
@@ -164,80 +161,49 @@ class RMMScheme(TranslationScheme):
 
         miss = ~hit1
         mk = heads[miss]
+        m_huge = is_huge[miss]
+        m_hvpn = hvpn[miss]
         pfn_heads = np.zeros(heads.shape[0], dtype=np.int64)
         pfn_heads[is_small] = pfn_sm
         cid = frozen.chunk_of(mk)
         cstart = frozen.chunk_vpn[cid] if cid.size else cid
+        # Each row's L2 probe/fill: huge rows by 2 MiB key, the rest by
+        # 4 KiB key (kind bits: _KIND_SMALL == 0).
+        l2_index = np.where(m_huge, m_hvpn, mk)
+        l2_key = np.where(m_huge, (m_hvpn << 1) | _KIND_HUGE, mk << 1)
+        l2_value = np.where(m_huge, hbase[miss], pfn_heads[miss])
         ranges = self.range_table.ranges()
-        rentries = self.range_tlb._entries
-        rbase = self.range_tlb._tag_base
-        r_cap = self.range_tlb.capacity
-        ways = self.l2.ways
-        imask = self.l2.index_mask
-        buckets = self.l2._sets
-        tbase = self.l2._tag_base
-        l2_small = l2_huge = coalesced = walks = 0
+        l2_lookup = self.l2.lookup
+        l2_insert = self.l2.insert
+        range_touch = self.range_tlb.touch
+        range_insert = self.range_tlb.insert
+        l2_hits = l2_huge = coalesced = 0
         walk_vpns: list[int] = []
         walk_huge: list[bool] = []
         rows = zip(
             mk.tolist(),
-            is_huge[miss].tolist(),
-            (hvpn[miss] & imask).tolist(),
-            hbase[miss].tolist(),
-            pfn_heads[miss].tolist(),
+            m_huge.tolist(),
+            l2_index.tolist(),
+            l2_key.tolist(),
+            l2_value.tolist(),
             cstart.tolist(),
             cid.tolist(),
         )
-        for vpn, huge_row, hidx, hb, pfn_row, cs, ci in rows:
-            rkey = cs | rbase
-            if huge_row:
-                bucket = buckets[hidx]
-                key = (((vpn >> _HUGE_SHIFT) << 1) | _KIND_HUGE) | tbase
-                value = bucket.get(key)
-                if value is not None:
-                    del bucket[key]
-                    bucket[key] = value
-                    l2_huge += 1
-                    continue
-                entry = rentries.get(rkey)
-                if entry is not None:
-                    del rentries[rkey]
-                    rentries[rkey] = entry
-                    coalesced += 1
-                    continue
-                walks += 1
-                walk_vpns.append(vpn)
-                walk_huge.append(True)
-                if len(bucket) >= ways:
-                    del bucket[next(iter(bucket))]
-                bucket[key] = hb
-            else:
-                bucket = buckets[vpn & imask]
-                skey = (vpn << 1) | tbase  # kind bits: _KIND_SMALL == 0
-                value = bucket.get(skey)
-                if value is not None:
-                    del bucket[skey]
-                    bucket[skey] = value
-                    l2_small += 1
-                    continue
-                entry = rentries.get(rkey)
-                if entry is not None:
-                    del rentries[rkey]
-                    rentries[rkey] = entry
-                    coalesced += 1
-                    continue
-                walks += 1
-                walk_vpns.append(vpn)
-                walk_huge.append(False)
-                if len(bucket) >= ways:
-                    del bucket[next(iter(bucket))]
-                bucket[skey] = pfn_row
+        for vpn, huge_row, index, key, value, cs, ci in rows:
+            if l2_lookup(index, key) is not None:
+                l2_hits += 1
+                l2_huge += huge_row
+                continue
+            if range_touch(cs) is not None:
+                coalesced += 1
+                continue
+            walk_vpns.append(vpn)
+            walk_huge.append(huge_row)
+            l2_insert(index, key, value)
             # Walk completed: refill the range TLB from the OS table.
-            if rkey in rentries:
-                del rentries[rkey]
-            elif len(rentries) >= r_cap:
-                del rentries[next(iter(rentries))]
-            rentries[rkey] = ranges[ci]
+            range_insert(ranges[ci])
+        walks = len(walk_vpns)
+        l2_small = l2_hits - l2_huge
         walk_pt = 0
         if self.pwc is not None:
             walk_pt = self._block_walk_accesses(

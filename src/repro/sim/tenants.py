@@ -18,7 +18,9 @@ the design space:
   same sets and ways, and the shared anchor-distance register is
   saved/restored per tenant through a
   :class:`repro.vmos.distance.DistanceRegisterFile` — the §3.1
-  context-switch protocol, without flushes.
+  context-switch protocol, without flushes.  Every registered scheme
+  runs under it: the TLB structures pack the running tenant's tag into
+  each key themselves, so no scheme handles tags.
 
 Memory stays bounded by *wave* scheduling: at most ``active_pool``
 tenants are instantiated at a time, each reading its trace through a
@@ -875,11 +877,6 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
         members: list[TenantRun] = []
         for spec in batch:
             scheme_obj = scheme_for(spec)
-            if policy == "tagged" and not scheme_obj.tag_safe_block:
-                raise ValueError(
-                    f"scheme {scheme!r} cannot share tagged TLBs "
-                    "(tag_safe_block is False)"
-                )
             member = TenantRun(
                 name=spec.name,
                 scheme=scheme_obj,

@@ -131,19 +131,16 @@ def sample_vpns(mapping, count=3000, seed=7):
 
 def traffic(clone) -> None:
     """Quantum-500 blocks, scalar accesses and a flush, under a
-    nonzero ASID wherever the scheme supports tagging."""
+    nonzero ASID."""
     vpns = sample_vpns(clone.mapping)
-    tagged = clone.tag_safe_block
-    if tagged:
-        clone.set_asid(3)
+    clone.set_asid(3)
     clone.sync_mapping()
     for start in range(0, vpns.shape[0], QUANTUM):
         clone.access_block(vpns[start:start + QUANTUM])
     for vpn in vpns[:300].tolist():
         clone.access(vpn)
     clone.flush()
-    if tagged:
-        clone.set_asid(4)
+    clone.set_asid(4)
     clone.access_block(vpns[:QUANTUM])
 
 

@@ -145,14 +145,12 @@ def test_instance_matches_declaration(mapping, scheme_name, pwc):
     scheme = make_scheme(scheme_name, mapping, machine)
     assert tag_structures(scheme)
     check_declared(scheme)
-    if scheme.tag_safe_block:
-        check_set_asid(scheme, 5)
+    check_set_asid(scheme, 5)
     check_flush(scheme, mapping)
     check_clone_fresh(scheme)
 
 
-@pytest.mark.parametrize(
-    "scheme_name", [n for n in ALL_SCHEMES if n != "anchor-region"])
+@pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 def test_tagged_fleet_shares_exactly_the_shareable(monkeypatch, scheme_name):
     admitted = []
     original = tenants.run_schedule

@@ -138,14 +138,15 @@ class TestRandomMappingDifferential:
         assert (fault_at is None) == (outputs[0]["faulted"] is None)
 
     @pytest.mark.parametrize(
-        "scheme_name", ("colt", "cluster", "cluster2mb", "base", "thp"))
+        "scheme_name",
+        ("colt", "cluster", "cluster2mb", "base", "thp", "anchor-region"))
     @given(data=mapping_and_trace(), pwc=st.booleans(),
            asid=st.integers(1, 7),
            cuts=st.lists(st.integers(1, 119), max_size=4, unique=True))
     @settings(max_examples=20, deadline=None)
     def test_batched_matches_scalar_tagged_chunked(
             self, scheme_name, data, pwc, asid, cuts):
-        """Tag-safe schemes under a nonzero ASID, with the trace split at
+        """Schemes under a nonzero ASID, with the trace split at
         arbitrary chunk boundaries: every ``access_block`` call starts
         from whatever state the previous chunk left (snapshots, per-set
         LRU order, PWC levels) and must still replay bit-identically —
@@ -160,7 +161,6 @@ class TestRandomMappingDifferential:
         outputs = []
         for mode in ("scalar", "batched"):
             scheme = make_scheme(scheme_name, mapping, machine)
-            assert scheme.tag_safe_block
             scheme.set_asid(asid)
             scheme.sync_mapping()
             if mode == "scalar":

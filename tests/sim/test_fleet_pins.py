@@ -1,4 +1,4 @@
-"""Byte-identity pins for tagged fleets under every tag-safe scheme.
+"""Byte-identity pins and a scalar oracle for tagged fleets.
 
 Each recipe time-shares ten tenants in waves of four at quantum 500
 through one shared tagged hierarchy, with a 3-bit ASID namespace (seven
@@ -6,19 +6,29 @@ usable tags: enough for one wave, too few for the fleet) so the
 allocator wraps and shoots recycled tags down between waves.  A
 structure left private, retagged late, or missed by a shootdown changes
 some tenant's counters and flips the digest.  The pins cover every
-tag-safe registered scheme with the page-walk caches off, plus one
-``pwc=True`` machine per scheme family.
+registered scheme with the page-walk caches off, plus one ``pwc=True``
+machine per scheme family.
+
+The differential runs the same recipe for every scheme, PWC off and
+on, against the per-reference oracle: the base class's scalar loop,
+whose every state touch goes through the structures' own
+``lookup``/``insert``.  A block path that writes a key without the
+running tenant's tag aliases another tenant's entry and diverges.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+from collections.abc import Iterator
 
 import pytest
 
 from repro.params import DEFAULT_MACHINE
+from repro.schemes.base import TranslationScheme
+from repro.schemes.registry import scheme_names
 from repro.sim.tenants import TenantFleet, simulate_fleet
 
 FLEET = TenantFleet(
@@ -68,6 +78,12 @@ PINS = {
         "3661d7e01d86b29a25d3081d3668912b016e076206cc499a8ad90511626a5a68"),
     ("thp", True): (
         "18624f9c54d3b1a6f01d01b661b6e0fe9793ff0900dfdde4d5b7bfe38aa8dd4d"),
+    # Pinned once the tag-packing structures made it tag-safe, after
+    # its tagged fleet matched the scalar oracle below.
+    ("anchor-region", False): (
+        "9f830d8b77b7659ffceccbfd58b8b0652ed75e15ab2da73911e7a3dbed796957"),
+    ("anchor-region", True): (
+        "a2b691f33b14eb3490b4dadd9f5fd6647322524581291eb76fc2ade28fce1576"),
 }
 
 
@@ -95,3 +111,31 @@ def test_tagged_fleet_digest_pinned(scheme, pwc):
     assert result.switches > FLEET.size
     assert result.asid_recycles == FLEET.size - 7
     assert digest(result) == PINS[(scheme, pwc)]
+
+
+@contextlib.contextmanager
+def scalar_access_blocks() -> Iterator[None]:
+    """Point every scheme's ``access_block`` at the base class's
+    per-reference loop (the scalar oracle) for the ``with`` body."""
+    undo = []
+    todo = list(TranslationScheme.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "access_block" in cls.__dict__:
+            undo.append((cls, cls.__dict__["access_block"]))
+            cls.access_block = TranslationScheme.access_block
+    try:
+        yield
+    finally:
+        for cls, method in undo:
+            cls.access_block = method
+
+
+@pytest.mark.parametrize("pwc", [False, True], ids=["pwc0", "pwc1"])
+@pytest.mark.parametrize("scheme", scheme_names(include_extras=True))
+def test_tagged_fleet_matches_scalar_oracle(scheme, pwc):
+    batched = run_pinned(scheme, pwc).to_dict()
+    with scalar_access_blocks():
+        scalar = run_pinned(scheme, pwc).to_dict()
+    assert batched == scalar

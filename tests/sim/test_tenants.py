@@ -33,9 +33,8 @@ def make_mapping(pages=256, base=10_000):
     return mapping
 
 
-#: Every registered scheme that claims (or inherits) ``tag_safe_block``.
-TAG_SAFE_SCHEMES = [name for name in scheme_names(include_extras=True)
-                    if make_scheme(name, make_mapping(64)).tag_safe_block]
+#: Every registered scheme: all of them share tagged hardware.
+ALL_SCHEMES = scheme_names(include_extras=True)
 
 
 def make_process(name, pages=256, length=2000, seed=0,
@@ -169,7 +168,7 @@ class TestTaggedDifferential:
     """ISSUE acceptance: a 1-tenant tagged run is bit-identical to the
     untagged engine — the ASID machinery must add zero perturbation."""
 
-    @pytest.mark.parametrize("scheme_name", TAG_SAFE_SCHEMES)
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
     def test_tagged_equals_untagged(self, scheme_name):
         rng = np.random.default_rng(3)
         vpns = rng.integers(0, 1024, 6000).astype(np.int64)
@@ -206,22 +205,16 @@ class TestTaggedDifferential:
         assert TAG_SHIFT >= 46
         assert TAG_BITS >= 8
 
-    def test_unsafe_scheme_rejects_asid(self, medium_mapping):
-        scheme = make_scheme("anchor-region", medium_mapping)
-        assert not scheme.tag_safe_block
-        with pytest.raises(ValueError):
-            scheme.set_asid(1)
-
     @pytest.mark.parametrize(
-        "name", ["cluster", "cluster2mb", "colt", "rmm", "prefetch"])
+        "name",
+        ["cluster", "cluster2mb", "colt", "rmm", "prefetch", "anchor-region"])
     def test_coalescing_schemes_accept_asid(self, medium_mapping, name):
-        """The HW-coalescing schemes' block fast paths are tag-aware:
+        """The coalescing schemes' block fast paths are tag-aware:
         ``set_asid`` must tag every array the fast path touches."""
         scheme = make_scheme(name, medium_mapping)
-        assert scheme.tag_safe_block
         scheme.set_asid(3)
         assert scheme.l1.small.tag == 3
-        if name in ("colt", "rmm", "prefetch"):
+        if name in ("colt", "rmm", "prefetch", "anchor-region"):
             assert scheme.l2.tag == 3
             if name == "rmm":
                 assert scheme.range_tlb.tag == 3
@@ -326,22 +319,13 @@ class TestFleet:
                                 quantum=250, active_pool=3, asid_bits=2)
         assert result.asid_recycles == 8 - 3
 
-    def test_unsafe_scheme_rejected_for_tagged_fleet(self):
-        fleet = TenantFleet(size=2, workloads=("gups",),
-                            scenarios=("medium",), references=500, seed=1)
-        with pytest.raises(ValueError, match="tag_safe_block"):
-            simulate_fleet(fleet, scheme="anchor-region", policy="tagged",
-                           quantum=200, active_pool=2)
-        # ...but flush-policy fleets may use any scheme.
-        result = simulate_fleet(fleet, scheme="anchor-region", policy="flush",
-                                quantum=200, active_pool=2)
-        assert result.executed == 1000
-
     @pytest.mark.parametrize(
-        "name", ["cluster", "cluster2mb", "colt", "rmm", "prefetch"])
+        "name",
+        ["cluster", "cluster2mb", "colt", "rmm", "prefetch", "anchor-region"])
     def test_coalescing_schemes_admitted_to_tagged_fleet(self, name):
-        """The schemes that flipped ``tag_safe_block`` run under
-        ``policy="tagged"`` and share one physical hierarchy."""
+        """The coalescing schemes whose block paths replay outside the
+        kernel run under ``policy="tagged"`` and share one physical
+        hierarchy."""
         fleet = TenantFleet(size=2, workloads=("gups",),
                             scenarios=("medium",), references=500, seed=1)
         result = simulate_fleet(fleet, scheme=name, policy="tagged",
@@ -350,7 +334,8 @@ class TestFleet:
         assert result.stats.accesses == 1000
 
     @pytest.mark.parametrize(
-        "name", ["cluster", "cluster2mb", "colt", "rmm", "prefetch"])
+        "name",
+        ["cluster", "cluster2mb", "colt", "rmm", "prefetch", "anchor-region"])
     def test_tagged_matches_flush_on_exhaustive_quanta(self, name):
         """With the quantum covering a tenant's whole trace, each tenant
         runs exactly once from a cold start: foreign-tag entries never
